@@ -15,6 +15,7 @@ import sys
 from typing import Optional, Sequence
 
 from repro.analysis import format_table
+from repro.errors import ConfigError
 from repro.faults import parse_fault_spec
 from repro.hw.profiles import PROFILES
 from repro.npb import NpbConfig, run_npb
@@ -61,7 +62,8 @@ def _config(args, default_iters: int) -> PerftestConfig:
     return PerftestConfig(
         system=args.system, transport=args.transport, op=args.op,
         client=args.client, server=args.server,
-        iters=args.iters or default_iters, techniques=tech, seed=args.seed,
+        iters=default_iters if args.iters is None else args.iters,
+        techniques=tech, seed=args.seed,
         faults=faults, fastforward=args.fast_forward,
     )
 
@@ -739,5 +741,17 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     return args.func(args)
 
 
+def run(argv: Optional[Sequence[str]] = None) -> int:
+    """Command-line entry: :func:`main`, with a :class:`ConfigError`
+    reported as one line on stderr and exit status 2 (argparse's
+    usage-error code) instead of a traceback — a bad configuration is
+    the user's input, not a crash."""
+    try:
+        return main(argv)
+    except ConfigError as err:
+        print(f"repro: error: {err}", file=sys.stderr)
+        return 2
+
+
 if __name__ == "__main__":  # pragma: no cover
-    sys.exit(main())
+    sys.exit(run())

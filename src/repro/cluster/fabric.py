@@ -4,15 +4,17 @@ Models a non-blocking switch (or a back-to-back cable for two hosts): each
 host owns one TX port and one RX delivery path.  A message occupies the
 *source* port for its serialization time — so fan-out traffic (alltoall)
 correctly shares a single 100/200 Gbit/s port per host — then arrives at the
-destination after the propagation delay.  Per-packet overheads are charged
-arithmetically from the MTU (see :mod:`repro.hw.link` for rationale).
+destination after the propagation delay.  Messages are modelled per segment,
+not per packet, to keep event counts bounded: per-packet overheads are
+charged arithmetically (``ceil(size/mtu) * per_packet_ns``), which keeps the
+bandwidth-vs-message-size curve exact at O(1) events per message.
 
 **Receiver-side contention** (opt-in via ``rx_contention=``): the source-only
 model gives an N→1 incast unbounded aggregate receive bandwidth — every
 sender's port runs at full rate and the arrivals just stack up at the
 destination.  With an :class:`~repro.hw.profiles.RxContentionProfile`
 attached, each host additionally owns an **RX ingress port** (a capacity-1
-serial resource mirroring the TX side) fed by a **switch output queue**:
+FIFO lock mirroring the TX side) fed by a **switch output queue**:
 a message pays propagation, is admitted to the destination port's byte
 buffer (tail-dropped on overflow when ``buffer_bytes`` is bounded — the RC
 ACK-timeout machinery retransmits), then drains through the ingress port at
@@ -37,7 +39,7 @@ from typing import TYPE_CHECKING, Generator, Optional, Union
 
 from repro.errors import HardwareError
 from repro.hw.profiles import CcProfile, NicProfile, RxContentionProfile
-from repro.sim.resources import Resource
+from repro.sim.resources import FifoLock
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.hw.nic import Nic
@@ -68,17 +70,17 @@ def _normalize_rx_contention(spec: RxContentionSpec) -> Optional[RxContentionPro
 
 class SwitchPort:
     """One switch output port: a byte buffer draining through a serial
-    ingress resource at link rate.  Created per attached host when the
+    ingress lock at link rate.  Created per attached host when the
     fabric runs with receiver-side contention."""
 
-    __slots__ = ("host_id", "resource", "buffer_bytes", "queued_bytes",
+    __slots__ = ("host_id", "lock", "buffer_bytes", "queued_bytes",
                  "peak_queued_bytes", "messages_dropped", "bytes_dropped",
                  "messages_marked")
 
-    def __init__(self, host_id: int, resource: Resource,
+    def __init__(self, host_id: int, lock: FifoLock,
                  buffer_bytes: Optional[int]):
         self.host_id = host_id
-        self.resource = resource
+        self.lock = lock
         self.buffer_bytes = buffer_bytes
         self.queued_bytes = 0
         self.peak_queued_bytes = 0
@@ -125,7 +127,7 @@ class Fabric:
             )
         self.name = name
         self._nics: dict[int, "Nic"] = {}
-        self._tx_ports: dict[int, Resource] = {}
+        self._tx_ports: dict[int, FifoLock] = {}
         self._rx_ports: dict[int, SwitchPort] = {}
         #: Per-destination-port WRED marking streams, created on first
         #: congested admission (dedicated streams: enabling CC never
@@ -148,7 +150,7 @@ class Fabric:
         #: fabric lossless at the cost of one branch per transmit.
         self.faults = None
         if self.rx_contention is not None:
-            # RX backlog lives in parked Resource requests, not heap events:
+            # RX backlog lives in parked lock waiters, not heap events:
             # expose it to steady-state cycle probes or fast-forward could
             # declare a period while a queue is still draining.
             sim.register_state_provider(self._rx_queue_state)
@@ -179,14 +181,14 @@ class Fabric:
         if nic.host_id in self._nics:
             raise HardwareError(f"host {nic.host_id} already attached to {self.name}")
         self._nics[nic.host_id] = nic
-        self._tx_ports[nic.host_id] = Resource(
-            self.sim, capacity=1, name=f"{self.name}.tx{nic.host_id}"
+        self._tx_ports[nic.host_id] = FifoLock(
+            self.sim, name=f"{self.name}.tx{nic.host_id}"
         )
         rx = self.rx_contention
         if rx is not None:
             self._rx_ports[nic.host_id] = SwitchPort(
                 nic.host_id,
-                Resource(self.sim, capacity=1, name=f"{self.name}.rx{nic.host_id}"),
+                FifoLock(self.sim, name=f"{self.name}.rx{nic.host_id}"),
                 rx.buffer_bytes,
             )
 
@@ -208,8 +210,7 @@ class Fabric:
 
     def _rx_queue_state(self) -> tuple:
         return tuple(
-            (hid, port.queued_bytes, len(port.resource.users),
-             len(port.resource.queue))
+            (hid, port.queued_bytes, port.lock.busy, len(port.lock.waiters))
             for hid, port in sorted(self._rx_ports.items())
         )
 
@@ -305,12 +306,13 @@ class Fabric:
 
         port = self._tx_ports[src_host]
         if self.chunk_bytes is None or nbytes <= self.chunk_bytes:
-            req = port.request()
-            yield req
+            wait = port.acquire()
+            if wait is not None:
+                yield wait
             try:
                 yield self.serialization_ns(nbytes)
             finally:
-                port.release(req)
+                port.release()
         else:
             # Chunked: the port is re-acquired per chunk so concurrent flows
             # interleave instead of suffering whole-message head-of-line.
@@ -327,12 +329,13 @@ class Fabric:
                 chunk = min(nbytes - sent, self.chunk_bytes)
                 sent += chunk
                 packets = max(1, math.ceil(sent / mtu)) - packets_charged
-                req = port.request()
-                yield req
+                wait = port.acquire()
+                if wait is not None:
+                    yield wait
                 try:
                     yield packets * per_packet_ns + chunk / link_bw
                 finally:
-                    port.release(req)
+                    port.release()
                 packets_charged += packets
 
         extra = 0.0
@@ -406,12 +409,14 @@ class Fabric:
             if span is not None:
                 trace.emit(self.sim.now, "span", "mark", span=span,
                            stage="rx_port", host=dst.host_id, comp="wire")
-        req = port.resource.request()
-        yield req
+        lock = port.lock
+        wait = lock.acquire()
+        if wait is not None:
+            yield wait
         try:
             yield self.serialization_ns(nbytes)
         finally:
-            port.resource.release(req)
+            lock.release()
             port.queued_bytes -= nbytes
         if tele.enabled:
             tele.scope(f"host{dst.host_id}").gauge(

@@ -120,9 +120,9 @@ class FaultPlan:
 class FaultInjector:
     """Binds a :class:`FaultPlan` to one simulator and makes the calls.
 
-    The fabric (or a bare :class:`~repro.hw.link.Link`) consults
-    :meth:`on_transmit` once per message after serialization; the NIC's
-    responder consults :meth:`recv_paused` when claiming a recv WQE.
+    The fabric consults :meth:`on_transmit` once per message after
+    serialization; the NIC's responder consults :meth:`recv_paused` when
+    claiming a recv WQE.
     """
 
     def __init__(self, sim: "Simulator", plan: FaultPlan, scope: str = "fabric"):

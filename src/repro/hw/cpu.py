@@ -1,8 +1,8 @@
 """CPU cores with a DVFS/turbo model.
 
 Each simulated thread is pinned to a :class:`Core` (the paper pins all
-benchmark processes).  A core is a capacity-1 resource: oversubscribed cores
-serialize their threads' work.  Work durations are scaled by the current
+benchmark processes).  A core is a capacity-1 FIFO lock: oversubscribed
+cores serialize their threads' work.  Work durations are scaled by the current
 effective frequency, which a simple duty-cycle EMA governs:
 
 - Turbo disabled (system L): frequency is nominal, always.
@@ -22,7 +22,7 @@ from typing import TYPE_CHECKING, Generator, Optional
 from repro.errors import HardwareError
 from repro.hw.profiles import CpuProfile, SystemProfile
 from repro.sim.events import Event
-from repro.sim.resources import Resource
+from repro.sim.resources import FifoLock
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.engine import Simulator
@@ -55,7 +55,7 @@ class Core:
         self.profile: CpuProfile = system.cpu
         self.index = index
         self.name = name or f"core{index}"
-        self.res = Resource(sim, capacity=1, name=self.name)
+        self.lock = FifoLock(sim, name=self.name)
         self._jitter = sim.rng.jitter_stream(f"cpu:{self.name}")
         #: Telemetry scope: core names are "<host>.coreN" (host scope).
         self._scope = self.name.split(".", 1)[0]
@@ -169,8 +169,10 @@ class Core:
             raise HardwareError(f"negative work: {work_ns}")
         if not self._hooked:
             self._ensure_hooks()
-        req = self.res.request()
-        yield req
+        lock = self.lock
+        wait = lock.acquire()
+        if wait is not None:
+            yield wait
         try:
             if not self.system.turbo_enabled:
                 # Frequency is pinned to nominal, so the duty EMA can never
@@ -191,7 +193,7 @@ class Core:
                     self.busy_ns += scaled
                     remaining -= slice_nominal
         finally:
-            self.res.release(req)
+            lock.release()
 
     def syscall(
         self, kernel_work_ns: float = 0.0
@@ -219,8 +221,10 @@ class Core:
         """
         if not self._hooked:
             self._ensure_hooks()
-        req = self.res.request()
-        yield req
+        lock = self.lock
+        wait = lock.acquire()
+        if wait is not None:
+            yield wait
         try:
             # The start mark lives on the core (not a generator local) so a
             # bulk clock advance can translate it: the measured wait then
@@ -245,7 +249,7 @@ class Core:
                 self.busy_ns += burnt
             return burnt
         finally:
-            self.res.release(req)
+            lock.release()
 
 
 class CpuSet:

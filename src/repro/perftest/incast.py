@@ -20,6 +20,7 @@ from typing import Generator, Optional
 from repro.cluster import Fabric, build_cluster
 from repro.core.endpoint import Endpoint, connect, make_endpoint
 from repro.errors import ConfigError
+from repro.hw.nic import HEADER_BYTES
 from repro.hw.profiles import RxContentionProfile, get_profile
 from repro.sim import Simulator
 from repro.units import to_gbit_per_s
@@ -62,6 +63,13 @@ class IncastConfig:
         if self.msgs_per_sender < 1:
             raise ConfigError(
                 f"need at least one message per sender, got {self.msgs_per_sender}"
+            )
+        if self.buffer_bytes is not None and \
+                self.buffer_bytes < self.size + HEADER_BYTES:
+            raise ConfigError(
+                f"switch buffer of {self.buffer_bytes} B cannot hold one "
+                f"{self.size} B message ({self.size + HEADER_BYTES} B on the "
+                "wire): every message would be tail-dropped"
             )
         if self.congestion not in ("off", "dcqcn"):
             raise ConfigError(

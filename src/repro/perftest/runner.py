@@ -149,6 +149,8 @@ class PerftestConfig:
     def __post_init__(self):
         if self.op not in OPS:
             raise ConfigError(f"op must be one of {OPS}, got {self.op!r}")
+        if self.iters < 1:
+            raise ConfigError(f"need at least one iteration, got iters={self.iters}")
         if self.transport not in TRANSPORTS:
             raise ConfigError(f"transport must be in {TRANSPORTS}")
         if self.transport == "UD" and self.op != "send":

@@ -2,14 +2,16 @@
 
 Enabled per-simulator with ``Simulator(sanitize=True)`` or globally with
 ``REPRO_SANITIZE=1`` in the environment.  When enabled the engine runs an
-instrumented copy of its dispatch loop and the resource/store primitives
-report their touches here; when disabled every hook site costs a single
-``is None`` branch and the hot loop is byte-for-byte the optimized one.
+instrumented copy of its dispatch loop and the resource, store, lock and
+serial-queue primitives report their touches here; when disabled every
+hook site costs a single ``is None`` branch and the hot loop is
+byte-for-byte the optimized one.
 
 The three checks (rule ids continue the SIM lint pack):
 
-- **SIM101 — same-timestamp race.**  Touches of one resource/store (and
-  therefore of the QP/CQ work queues built on them) are bucketed per
+- **SIM101 — same-timestamp race.**  Touches of one resource, store,
+  lock or serial queue (and therefore of the cores, ports, NIC engines
+  and QP/CQ work queues built on them) are bucketed per
   ``(now, priority)``.  If, inside one bucket, two *different* event
   dispatches contend for the same object — one wins a slot/item inline
   while another parks, two park on the same queue, or two ``try_get``
@@ -187,7 +189,7 @@ class RuntimeSanitizer:
     # -- touch recording -------------------------------------------------------
 
     def note_touch(self, obj: object, label: str, op: str, contended: bool) -> None:
-        """Record one resource/store touch by the current dispatch."""
+        """Record one resource/store/lock/queue touch by the current dispatch."""
         entry = self._touches.get(id(obj))
         if entry is None:
             entry = self._touches[id(obj)] = (label, [])

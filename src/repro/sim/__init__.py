@@ -9,7 +9,10 @@ SimPy-flavoured API (written from scratch; SimPy is not a dependency):
 - :class:`~repro.sim.process.Process` — generator-based cooperative
   processes that ``yield`` events.
 - :mod:`~repro.sim.resources` — capacity-limited resources with optional
-  priorities (CPU cores, NIC execution units, IRQ lines).
+  priorities (kernel RX queues, storage, PCIe), plus the capacity-1
+  serial servers (:class:`~repro.sim.resources.FifoLock` for CPU cores
+  and fabric ports, :class:`~repro.sim.resources.SerialQueue` for NIC
+  engines).
 - :mod:`~repro.sim.store` — FIFO stores used for queues (WQs, CQs,
   socket buffers).
 - :mod:`~repro.sim.rng` — named, seeded random streams so runs are
@@ -21,7 +24,7 @@ from repro.sim.engine import Simulator
 from repro.sim.events import AllOf, AnyOf, Event, Timeout
 from repro.sim.fastforward import FastForward, FastForwardStats, Skip
 from repro.sim.process import Process
-from repro.sim.resources import PriorityResource, Resource
+from repro.sim.resources import FifoLock, PriorityResource, Resource, SerialQueue
 from repro.sim.store import FilterStore, Store
 from repro.sim.rng import RngRegistry
 from repro.sim.trace import Trace, Counter
@@ -38,6 +41,8 @@ __all__ = [
     "Process",
     "Resource",
     "PriorityResource",
+    "FifoLock",
+    "SerialQueue",
     "Store",
     "FilterStore",
     "RngRegistry",

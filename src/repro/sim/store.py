@@ -24,10 +24,10 @@ class StorePut(Event):
 
     def __init__(self, store: "Store", item: object):
         # Inlined Event.__init__ with the store's precomputed name — one
-        # StorePut/StoreGet pair is allocated per queue hop, which makes these
-        # the most frequently constructed events in the NIC pipelines.  The
-        # callbacks list is left unset; Store.put fills it in (None when the
-        # item is stored inline, a fresh list when the put queues).
+        # StorePut/StoreGet pair is allocated per queue hop (CQs, sockets,
+        # connection management).  The callbacks list is left unset;
+        # Store.put fills it in (None when the item is stored inline, a
+        # fresh list when the put queues).
         self.sim = store.sim
         self.name = store._put_name
         self._value = _PENDING

@@ -255,3 +255,36 @@ def test_sanitize_run_cord_json(capsys):
                  "--iters", "2", "--format", "json"]) == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc == {"findings": [], "count": 0}
+
+
+def test_lat_zero_iters_rejected_as_one_line(capsys):
+    from repro.cli import run
+
+    # Used to fall back to the default count and print a latency.
+    assert run(["lat", "--iters", "0"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "repro: error: need at least one iteration, got iters=0\n"
+
+
+def test_incast_buffer_below_one_message_rejected(capsys):
+    from repro.cli import run
+
+    # Used to exit 0 at 0 Gbit/s with every message tail-dropped.
+    assert run(["incast", "--senders", "2", "--msgs", "1",
+                "--rx-buffer-bytes", "1000"]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "cannot hold one 65536 B message" in err
+
+
+def test_config_error_exits_2_without_traceback():
+    import os
+    import subprocess
+    import sys
+
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    proc = subprocess.run([sys.executable, "-m", "repro", "lat", "--iters", "0"],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("repro: error: ")
+    assert "Traceback" not in proc.stderr and proc.stderr.count("\n") == 1

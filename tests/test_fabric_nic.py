@@ -1,16 +1,13 @@
 """Fabric and NIC engine behaviour: serialization, sharing, loopback, UD."""
 
-import math
-
 import pytest
 
 from repro.cluster import build_cluster, build_pair
 from repro.core.endpoint import connect, make_endpoint, make_rc_pair, make_ud_pair
 from repro.errors import HardwareError
-from repro.hw.link import Link
 from repro.hw.profiles import SYSTEM_L
 from repro.sim import Simulator
-from repro.units import gbit_per_s, to_gbit_per_s, us
+from repro.units import to_gbit_per_s, us
 from repro.verbs.wr import Opcode, RecvWR, SendWR
 
 
@@ -96,23 +93,24 @@ def test_loopback_same_host_faster_than_wire_but_not_free():
 
 
 def test_link_two_node_wrapper():
+    """A two-host fabric is one wire: the sender holds its port for the
+    serialization time and the peer NIC sees the payload one propagation
+    delay after the last bit left."""
     sim = Simulator()
-    link = Link(sim, bandwidth=gbit_per_s(100), propagation_ns=100.0,
-                mtu=4096, per_packet_ns=25.0)
+    fabric, _a, _b = build_pair(sim, SYSTEM_L)
     got = []
-    link.ports[1].deliver = got.append
+    fabric.nic(1).deliver = lambda payload: got.append((sim.now, payload))
 
     def proc():
-        yield from link.transmit(link.ports[0], 4096, "payload")
+        yield from fabric.transmit(0, 1, 4096, "payload")
         return sim.now
 
     left_wire = sim.run(sim.process(proc()))
     sim.run()
-    assert got == ["payload"]
-    assert left_wire == pytest.approx(link.serialization_ns(4096))
-    assert link.peer(link.ports[0]) is link.ports[1]
+    assert left_wire == pytest.approx(fabric.serialization_ns(4096))
+    assert got == [(pytest.approx(left_wire + fabric.propagation_ns), "payload")]
     with pytest.raises(HardwareError):
-        link.peer(object())
+        fabric.nic(2)
 
 
 def test_nic_counters_track_traffic():

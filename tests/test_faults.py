@@ -478,21 +478,20 @@ def test_injector_uses_named_rng_streams():
 
 
 def test_link_level_fault_hook():
-    """A bare Link honours an attached injector (drops by port index)."""
-    from repro.hw.link import Link
-
+    """A two-host fabric honours an injector attached directly (drops by
+    host index, counted on the directed link)."""
     sim = Simulator(seed=1)
-    link = Link(sim, bandwidth=12.5, propagation_ns=250.0, mtu=4096,
-                per_packet_ns=10.0)
+    fabric, _a, _b = build_pair(sim, SYSTEM_L)
     got = []
-    link.ports[1].deliver = got.append
-    link.faults = FaultInjector(sim, FaultPlan(flaps=((0.0, 1e9),)),
-                                scope="link")
+    fabric.nic(1).deliver = got.append
+    fabric.faults = FaultInjector(sim, FaultPlan(flaps=((0.0, 1e9),)),
+                                  scope="link")
 
     def sender():
-        yield from link.transmit(link.ports[0], 512, "payload")
+        yield from fabric.transmit(0, 1, 512, "payload")
 
     sim.run(sim.process(sender()))
     sim.run()
     assert got == []  # flap window swallowed it
-    assert link.faults.drops == 1
+    assert fabric.faults.drops == 1
+    assert fabric.faults.snapshot()["drops_by_link"] == {"0-1": 1}

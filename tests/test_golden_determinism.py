@@ -13,6 +13,12 @@ Three properties the perf work must never break:
    just speed.
 3. **Worker-count invariance.**  ``parallel_sweep`` must return the same
    bits serially and fanned over processes, in point order.
+4. **Multi-host tie order.**  Two NPB points on a 4-host cluster, where
+   fabric ports, NIC engines and cores all see same-timestamp ties, must
+   reproduce exactly.  A serial server that schedules a queued job's
+   completion at admission (rather than when its predecessor completes)
+   allocates its heap sequence number too early and flips such ties;
+   these points catch it.
 """
 
 import pytest
@@ -41,6 +47,16 @@ GOLDEN = {
 }
 
 
+#: Exact NPB class B elapsed times, 16 ranks on 4 system-A hosts:
+#: kernel -> (transport, iter_scale, sim seed, elapsed_ns).  System A runs
+#: the DVFS governor, so like perfbench's ``npb_4host`` digests these go
+#: through libm ``exp``.
+NPB_GOLDEN = {
+    "CG": ("bypass", 0.02, 11, 8992785.766219512),
+    "MG": ("cord", 0.1, 717444363, 9140579.858520944),
+}
+
+
 def _cfg(dataplane: str, system: str = "L") -> PerftestConfig:
     return PerftestConfig(system=system, client=dataplane, server=dataplane,
                           iters=ITERS, warmup=WARMUP, window=WINDOW)
@@ -66,6 +82,21 @@ def test_golden_values_system_l(dataplane):
             f"{dataplane}/{key}: got {got!r}, golden {want!r} — a perf "
             "change altered simulation results"
         )
+
+
+@pytest.mark.parametrize("kernel", sorted(NPB_GOLDEN))
+def test_golden_values_npb_multi_host(kernel):
+    from repro.npb import NpbConfig
+    from repro.npb.runner import run_npb
+
+    transport, iter_scale, seed, want = NPB_GOLDEN[kernel]
+    cfg = NpbConfig(name=kernel, klass="B", ranks=16, iter_scale=iter_scale)
+    got = run_npb(cfg, transport=transport, system="A", hosts_n=4,
+                  seed=seed).elapsed_ns
+    assert repr(got) == repr(want), (
+        f"NPB {kernel}/{transport}: got {got!r}, golden {want!r} — a "
+        "same-timestamp tie changed order"
+    )
 
 
 @pytest.mark.parametrize("dataplane", ["bypass", "cord"])

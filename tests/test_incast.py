@@ -12,7 +12,7 @@ fault coverage).
 
 import pytest
 
-from repro.cluster import Fabric, build_cluster
+from repro.cluster import Fabric, build_cluster, build_pair
 from repro.errors import HardwareError
 from repro.faults import FaultInjector, FaultPlan
 from repro.hw.profiles import SYSTEM_L, RxContentionProfile, get_profile
@@ -28,6 +28,20 @@ def _cfg(**kwargs):
     base = dict(senders=8, size=64 * 1024, msgs_per_sender=12, window=8)
     base.update(kwargs)
     return IncastConfig(**base)
+
+
+def test_buffer_below_one_message_is_rejected():
+    from repro.errors import ConfigError
+    from repro.hw.nic import HEADER_BYTES
+
+    size = 64 * 1024
+    with pytest.raises(ConfigError, match="cannot hold one"):
+        _cfg(size=size, buffer_bytes=1000)
+    with pytest.raises(ConfigError):
+        _cfg(size=size, buffer_bytes=size + HEADER_BYTES - 1)
+    # Exactly one wire message fits; so does the 1 MiB benchmark buffer.
+    assert _cfg(size=size, buffer_bytes=size + HEADER_BYTES).buffer_bytes
+    assert _cfg(size=size, buffer_bytes=1 << 20).buffer_bytes == 1 << 20
 
 
 # -- the tentpole: fan-in is bounded by the receiver's port -----------------------
@@ -159,24 +173,25 @@ def test_fabric_counts_only_delivered_traffic():
 
 
 def test_link_counts_only_delivered_traffic():
-    from repro.hw.link import Link
-
+    """Per-direction loss on a two-host fabric: the dropped direction
+    lands in the drop counters, the other in the carried ones."""
     sim = Simulator(seed=1)
-    link = Link(sim, bandwidth=12.5, propagation_ns=250.0, mtu=4096,
-                per_packet_ns=10.0)
+    fabric, _a, _b = build_pair(sim, SYSTEM_L)
+    fabric.inject_faults(FaultPlan(link_loss=((0, 1, 1.0),)))
     got = []
-    link.ports[1].deliver = got.append
-    link.faults = FaultInjector(sim, FaultPlan(flaps=((0.0, 1e9),)),
-                                scope="link")
+    fabric.nic(0).deliver = got.append
+    fabric.nic(1).deliver = got.append
 
     def proc():
-        yield from link.transmit(link.ports[0], 512, "payload")
+        yield from fabric.transmit(0, 1, 512, "lost")
+        yield from fabric.transmit(1, 0, 256, "kept")
 
     sim.run(sim.process(proc()))
     sim.run()
-    assert got == []
-    assert link.messages_dropped == 1 and link.bytes_dropped == 512
-    assert link.messages_carried == 0 and link.bytes_carried == 0
+    assert got == ["kept"]
+    assert fabric.messages_dropped == 1 and fabric.bytes_dropped == 512
+    assert fabric.drops_wire == 1
+    assert fabric.messages_carried == 1 and fabric.bytes_carried == 256
 
 
 def test_loopback_traffic_goes_through_fault_hook():

@@ -22,6 +22,14 @@ def test_config_validation():
         PerftestConfig(transport="XX")
 
 
+@pytest.mark.parametrize("iters", [0, -1])
+def test_config_rejects_fewer_than_one_iteration(iters):
+    with pytest.raises(ConfigError, match="at least one iteration"):
+        PerftestConfig(iters=iters)
+    # The smallest legal count still runs.
+    assert PerftestConfig(iters=1).iters == 1
+
+
 def test_send_lat_reasonable_and_monotonic_in_size():
     cfg = PerftestConfig(iters=60, warmup=10)
     small = run_lat(cfg, 64)

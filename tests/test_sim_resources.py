@@ -3,7 +3,15 @@
 import pytest
 
 from repro.errors import SimulationError
-from repro.sim import FilterStore, PriorityResource, Resource, Simulator, Store
+from repro.sim import (
+    FifoLock,
+    FilterStore,
+    PriorityResource,
+    Resource,
+    SerialQueue,
+    Simulator,
+    Store,
+)
 
 
 def test_resource_grants_up_to_capacity():
@@ -251,3 +259,109 @@ def test_store_high_water_mark():
         store.put(i)
     sim.run()
     assert store.max_occupancy == 7
+
+
+# -- capacity-1 serial servers: same heap keys as the generic machinery -----------
+
+#: (start time, hold) per user: same-instant ties, zero holds, a queue
+#: that drains and refills.
+_USERS = [(0.0, 5.0), (0.0, 0.0), (0.0, 3.0), (2.0, 1.0), (8.0, 0.0),
+          (8.0, 2.0), (20.0, 1.0)]
+
+
+def _lock_log(use_lock):
+    """Grant/release log of ``_USERS`` with ``(tag, now, next seq)``."""
+    sim = Simulator()
+    res = FifoLock(sim, "core") if use_lock else Resource(sim, 1, "core")
+    log = []
+
+    def user(tag, start, hold):
+        yield start
+        if use_lock:
+            wait = res.acquire()
+            if wait is not None:
+                yield wait
+        else:
+            req = res.request()
+            yield req
+        log.append(("grant", tag, sim.now, sim._seq))
+        yield hold
+        if use_lock:
+            res.release()
+        else:
+            res.release(req)
+        log.append(("release", tag, sim.now, sim._seq))
+        yield 0.0  # work after the release competes with the handoff
+
+    for tag, (start, hold) in enumerate(_USERS):
+        sim.process(user(tag, start, hold))
+    sim.run()
+    return log, sim._seq
+
+
+def test_fifo_lock_pushes_the_same_heap_records_as_resource():
+    assert _lock_log(use_lock=True) == _lock_log(use_lock=False)
+
+
+def test_fifo_lock_release_when_free_raises():
+    with pytest.raises(SimulationError):
+        FifoLock(Simulator()).release()
+
+
+def _engine_log(use_queue):
+    """Service log of a serial engine fed by ``_USERS`` as arrivals
+    (``(tag, now, next seq)`` at each service end)."""
+    sim = Simulator()
+    log = []
+
+    def end(item):
+        log.append((item[0], sim.now, sim._seq))
+        queue.done()
+
+    if use_queue:
+        queue = SerialQueue(sim, lambda item: sim.call_later(item[1], end, item))
+        put = queue.put
+    else:
+        store = Store(sim)
+        put = store.put
+
+        def engine():
+            while True:
+                item = yield store.get()
+                yield item[1]
+                log.append((item[0], sim.now, sim._seq))
+
+        sim.process(engine())
+
+    for tag, (start, hold) in enumerate(_USERS):
+        sim.call_later(start, put, (tag, hold))
+    sim.run()
+    return log, sim._seq
+
+
+def test_serial_queue_matches_a_store_fed_engine_minus_its_start_record():
+    old_log, old_seq = _engine_log(use_queue=False)
+    new_log, new_seq = _engine_log(use_queue=True)
+    # Same service order and times; every later record keeps its relative
+    # key, shifted by the one engine-start record the queue does not need.
+    assert [(t, now) for t, now, _ in new_log] == [(t, now) for t, now, _ in old_log]
+    assert [seq for *_, seq in new_log] == [seq - 1 for *_, seq in old_log]
+    assert new_seq == old_seq - 1
+
+
+def test_serial_queue_holds_only_waiting_items():
+    sim = Simulator()
+    served = []
+
+    def end(item):
+        served.append((item, sim.now))
+        queue.done()
+
+    queue = SerialQueue(sim, lambda item: sim.call_later(1.0, end, item))
+    for item in "abc":
+        queue.put(item)
+    # "a" is handed to the idle server; only "b" and "c" wait.
+    assert queue.busy and list(queue.items) == ["b", "c"]
+    sim.run()
+    assert served == [("a", 1.0), ("b", 2.0), ("c", 3.0)]
+    assert not queue.busy and not queue.items
