@@ -283,8 +283,7 @@ class BypassDataplane(Dataplane):
         if not wrs:
             return
         yield from self.core.run(driver.post_recv_cpu_ns(self.system) * len(wrs))
-        for wr in wrs:
-            self.host.nic.hw_post_recv(qp, wr)
+        self.host.nic.hw_post_recv_many(qp, wrs)
         self.ops_posted += len(wrs)
 
     def post_srq_recv_many(self, srq, wrs: list[RecvWR]) -> Generator["Event", object, None]:
@@ -434,8 +433,7 @@ class CordDataplane(Dataplane):
             + policy_ns
             + fast
         )
-        for wr in wrs:
-            self.host.nic.hw_post_recv(qp, wr)
+        self.host.nic.hw_post_recv_many(qp, wrs)
         self.ops_posted += len(wrs)
 
     def post_srq_recv_many(self, srq, wrs: list[RecvWR]) -> Generator["Event", object, None]:

@@ -30,7 +30,7 @@ if TYPE_CHECKING:  # pragma: no cover
 #: Idle gaps beyond this many DVFS windows leave a residual duty of at most
 #: ``e**-48`` ~ 1.4e-21 — below half an ulp of every expression the duty
 #: feeds (``1 - duty`` in :meth:`Core.frequency_factor`, ``duty * frac``
-#: against ``1 - frac`` in :meth:`Core._absorb_busy` for any busy slice
+#: against ``1 - frac`` in :meth:`Core.run` for any busy slice
 #: longer than a nanosecond; the shortest slice in any profile is the 28 ns
 #: poll check, a 38x margin) — so the governor flushes the EMA to an exact
 #: 0.0.  That makes "cold" an absorbing, canonical state: a core left idle
@@ -57,6 +57,10 @@ class Core:
         self.name = name or f"core{index}"
         self.lock = FifoLock(sim, name=self.name)
         self._jitter = sim.rng.jitter_stream(f"cpu:{self.name}")
+        # Governor constants, read on every dispatch.
+        self._turbo: bool = system.turbo_enabled
+        self._window: float = self.profile.dvfs_window_ns
+        self._headroom: float = self.profile.turbo_headroom - 1.0
         #: Telemetry scope: core names are "<host>.coreN" (host scope).
         self._scope = self.name.split(".", 1)[0]
         # Duty-cycle EMA state for the DVFS governor.
@@ -85,7 +89,7 @@ class Core:
         """
         self._hooked = True
         self.sim.on_time_shift(self._on_time_shift)
-        if self.system.turbo_enabled:
+        if self._turbo:
             self.sim.register_state_provider(self._timing_state)
 
     def _on_time_shift(self, shift: float) -> None:
@@ -111,60 +115,86 @@ class Core:
 
     # -- DVFS -------------------------------------------------------------------
 
-    def _decay_duty(self) -> None:
+    def _decay_duty(self) -> float:
         """Decay the duty EMA over the idle gap since the last update.
 
         Gaps past ``_COLD_WINDOWS`` flush to an exact 0.0: the residual
         (< 1.6e-28) is beneath half an ulp of everything downstream, so
         the flush is bit-invisible to timing while making long-idle cores
-        canonically cold.
+        canonically cold.  Returns the decayed duty.
         """
         now = self.sim.now
         gap = now - self._duty_t
         if gap > 0:
-            window = self.profile.dvfs_window_ns
+            window = self._window
             if gap >= _COLD_WINDOWS * window:
                 self._duty = 0.0
             else:
                 self._duty *= math.exp(-gap / window)
             self._duty_t = now
-
-    def _absorb_busy(self, duration: float) -> None:
-        """Fold a busy interval ending now into the duty EMA."""
-        w = self.profile.dvfs_window_ns
-        frac = math.exp(-duration / w)
-        self._duty = 1.0 * (1.0 - frac) + self._duty * frac
-        self._duty_t = self.sim.now
+        return self._duty
 
     @property
     def duty_cycle(self) -> float:
         """Current duty-cycle estimate in [0, 1]."""
-        self._decay_duty()
-        return self._duty
+        return self._decay_duty()
 
     @property
     def frequency_factor(self) -> float:
         """Effective frequency relative to nominal (>= 1.0)."""
-        if not self.system.turbo_enabled:
+        if not self._turbo:
             return 1.0
-        headroom = self.profile.turbo_headroom - 1.0
-        return 1.0 + headroom * (1.0 - self.duty_cycle)
+        return 1.0 + self._headroom * (1.0 - self._decay_duty())
 
     def grant_idle_credit(self, credit_ns: float) -> None:
         """Pretend the core idled for ``credit_ns`` (DVFS syscall effect)."""
-        if credit_ns <= 0 or not self.system.turbo_enabled:
+        if credit_ns <= 0 or not self._turbo:
             return
         self._decay_duty()
-        self._duty *= math.exp(-credit_ns / self.profile.dvfs_window_ns)
+        self._duty *= math.exp(-credit_ns / self._window)
 
     # -- execution -----------------------------------------------------------------
 
-    def run(self, work_ns: float) -> Generator[Event, object, None]:
+    def syscall(
+        self, kernel_work_ns: float = 0.0
+    ) -> Generator[Event, object, None]:
+        """One syscall round trip plus ``kernel_work_ns`` of kernel work.
+
+        Applies KPTI cost when the system profile enables it and lognormal
+        jitter on virtualized systems, then grants the DVFS idle credit.
+        Runs as :meth:`run`'s own generator, so a syscall costs no extra
+        ``yield from`` level.
+        """
+        return self.run(kernel_work_ns, _syscall=True)
+
+    def run(
+        self, work_ns: float, _syscall: bool = False
+    ) -> Generator[Event, object, None]:
         """Execute ``work_ns`` of nominal-frequency work on this core.
 
         Acquires the core (queueing behind other pinned threads), advances
         time by the frequency-scaled duration, updates DVFS accounting.
+        (``_syscall`` is :meth:`syscall`'s entry: ``work_ns`` is then its
+        kernel work.)
+
+        With turbo on, duty and frequency co-evolve per DVFS window: a long
+        compute block saturates the core and decays to nominal frequency
+        instead of riding its entry-time turbo factor.  Every window of a
+        block runs with the core held, so nothing else can touch the
+        governor in between and each window after the first starts with a
+        zero idle gap: the whole block is evaluated here in closed form —
+        the per-window recurrence, in order — and waited on once.
         """
+        if _syscall:
+            system = self.system
+            work_ns = self._jitter.draw(
+                system.syscall_cost() + work_ns, system.syscall_jitter_cv
+            )
+            self.syscalls += 1
+            tele = self.sim.telemetry
+            if tele.enabled:
+                tele.scope(self._scope).counter("cpu.syscalls").inc(
+                    work_ns, key=self.name)
         if work_ns < 0:
             raise HardwareError(f"negative work: {work_ns}")
         if not self._hooked:
@@ -174,43 +204,54 @@ class Core:
         if wait is not None:
             yield wait
         try:
-            if not self.system.turbo_enabled:
+            if not self._turbo:
                 # Frequency is pinned to nominal, so the duty EMA can never
-                # feed back into timing — skip the per-slice exp() updates.
+                # feed back into timing — skip the governor entirely.
                 if work_ns > 0:
                     yield work_ns
                     self.busy_ns += work_ns
-            else:
-                # Slice long work so duty and frequency co-evolve: a long
-                # compute block saturates the core and decays to nominal
-                # frequency instead of riding its entry-time turbo factor.
+            elif work_ns > 0:
+                sim = self.sim
+                window = self._window
+                headroom = self._headroom
+                t = sim.now
+                duty = self._duty
+                gap = t - self._duty_t
+                if gap > 0:
+                    if gap >= _COLD_WINDOWS * window:
+                        duty = 0.0
+                    else:
+                        duty *= math.exp(-gap / window)
+                    self._duty = duty
+                    self._duty_t = t
+                busy = self.busy_ns
                 remaining = work_ns
                 while remaining > 0:
-                    slice_nominal = min(remaining, self.profile.dvfs_window_ns)
-                    scaled = slice_nominal / self.frequency_factor
-                    yield scaled
-                    self._absorb_busy(scaled)
-                    self.busy_ns += scaled
+                    slice_nominal = remaining if remaining <= window else window
+                    scaled = slice_nominal / (1.0 + headroom * (1.0 - duty))
+                    t += scaled
+                    frac = math.exp(-scaled / window)
+                    duty = 1.0 * (1.0 - frac) + duty * frac
+                    busy += scaled
                     remaining -= slice_nominal
+                if work_ns <= window:
+                    yield scaled
+                else:
+                    # ``t`` is the left-to-right sum of the window lengths,
+                    # the instant per-window sleeps would have reached; a
+                    # relative sleep of ``t - now`` could round elsewhere.
+                    yield sim.timeout_at(t)
+                self._duty = duty
+                self._duty_t = sim.now
+                self.busy_ns = busy
         finally:
             lock.release()
-
-    def syscall(
-        self, kernel_work_ns: float = 0.0
-    ) -> Generator[Event, object, None]:
-        """One syscall round trip plus ``kernel_work_ns`` of kernel work.
-
-        Applies KPTI cost when the system profile enables it and lognormal
-        jitter on virtualized systems.
-        """
-        base = self.system.syscall_cost() + kernel_work_ns
-        cost = self._jitter.draw(base, self.system.syscall_jitter_cv)
-        self.syscalls += 1
-        tele = self.sim.telemetry
-        if tele.enabled:
-            tele.scope(self._scope).counter("cpu.syscalls").inc(cost, key=self.name)
-        yield from self.run(cost)
-        self.grant_idle_credit(self.profile.dvfs_syscall_credit_ns)
+        if _syscall and self._turbo:
+            credit_ns = self.profile.dvfs_syscall_credit_ns
+            if credit_ns > 0:
+                # A non-empty block left the duty clock at now: no decay due.
+                duty = self._duty if work_ns > 0 else self._decay_duty()
+                self._duty = duty * math.exp(-credit_ns / self._window)
 
     def busy_poll(self, until: Event, check_ns: float) -> Generator[Event, object, float]:
         """Busy-poll on the core until ``until`` fires.
@@ -234,13 +275,15 @@ class Core:
                 yield until
             waited = self.sim.now - self._poll_t0
             self._poll_t0 = None
-            if self.system.turbo_enabled:
-                tail = check_ns / self.frequency_factor
+            if self._turbo:
+                tail = check_ns / (1.0 + self._headroom * (1.0 - self._decay_duty()))
                 if tail > 0:
                     yield tail
                 burnt = waited + tail
                 if burnt > 0:
-                    self._absorb_busy(burnt)
+                    frac = math.exp(-burnt / self._window)
+                    self._duty = 1.0 * (1.0 - frac) + self._duty * frac
+                    self._duty_t = self.sim.now
                     self.busy_ns += burnt
             else:
                 if check_ns > 0:

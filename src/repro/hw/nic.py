@@ -270,6 +270,32 @@ class Nic:
         if mon is not None:
             mon.on_post_recv(qp, wr)
 
+    def hw_post_recv_many(self, qp: QueuePair, wrs: list[RecvWR]) -> None:
+        """Accept a chain of recv WQEs, exactly as :meth:`hw_post_recv` on
+        each in order — WRs ahead of a failing one stay posted — but with
+        the QP's state checked once and each distinct ``(lkey, addr,
+        length)`` validated once."""
+        if not wrs:
+            return
+        # SRQ binding and QP state cannot change mid-chain.
+        qp.check_post_recv(wrs[0])
+        rq = qp.rq
+        mon = self.sim._monitor
+        checked: set[tuple[int, int, int]] = set()
+        for wr in wrs:
+            if len(rq) >= qp.rq_depth:
+                qp.check_post_recv(wr)  # raises the queue-full error
+            if wr.length > 0:
+                key = (wr.lkey, wr.addr, wr.length)
+                if key not in checked:
+                    assert self.mr_table is not None
+                    self.mr_table.check_local(wr.lkey, wr.addr, wr.length, write=True)
+                    checked.add(key)
+            rq.append(wr)
+            qp.recvs_posted += 1
+            if mon is not None:
+                mon.on_post_recv(qp, wr)
+
     def hw_post_srq_recv(self, srq, wr: RecvWR) -> None:
         """Accept a recv WQE into a shared receive queue."""
         srq.check_post(wr)

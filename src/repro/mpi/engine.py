@@ -22,7 +22,7 @@ from __future__ import annotations
 import itertools
 from collections import deque
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Generator, Optional
+from typing import TYPE_CHECKING, Generator, Iterator, Optional
 
 from repro.errors import MPIError
 from repro.mpi.requests import Request
@@ -141,9 +141,6 @@ class RankEngine:
 # Verbs engine (bypass or CoRD, depending on the dataplane injected)
 # ---------------------------------------------------------------------------
 
-_msg_ids = itertools.count(1)
-
-
 class VerbsRankEngine(RankEngine):
     def __init__(
         self,
@@ -154,6 +151,7 @@ class VerbsRankEngine(RankEngine):
         dataplane: "Dataplane",
         cq: "CompletionQueue",
         mr: "MemoryRegionV",
+        msg_ids: Iterator[int],
         eager_threshold: int = 8192,
     ):
         super().__init__(sim, rank, host, core)
@@ -173,7 +171,13 @@ class VerbsRankEngine(RankEngine):
         self._rndv_recv: dict[int, Request] = {}
         #: region ring allocator offset for rendezvous targets.
         self._region_off = 0
+        #: Rendezvous ids (they ride the RDMA-write immediate): drawn from
+        #: the world's counter so they are unique across its ranks and a
+        #: rerun of the same world reproduces them.
+        self._msg_ids = msg_ids
         self._repost_due: dict[int, int] = {}  # peer -> count
+        #: Sum of ``_repost_due``: lets progress skip the per-peer scan.
+        self._repost_total = 0
 
     # -- wiring (done by the world) ----------------------------------------------
 
@@ -181,11 +185,7 @@ class VerbsRankEngine(RankEngine):
         self.qps[peer] = qp
         self.qpn_to_peer[qp.qpn] = peer
         # Prepost the eager recv slots (uncharged: part of MPI_Init).
-        for _ in range(RECV_SLOTS):
-            self.host.nic.hw_post_recv(
-                qp, RecvWR(wr_id=self._recv_wr_id(), addr=self.buf.addr,
-                           length=self.buf.length, lkey=self.mr.lkey)
-            )
+        self.host.nic.hw_post_recv_many(qp, self._recv_wrs(RECV_SLOTS))
 
     #: Set by the world: callable(rank_a, rank_b) wiring a QP pair lazily.
     _connect = None
@@ -209,6 +209,14 @@ class VerbsRankEngine(RankEngine):
 
     def _recv_wr_id(self) -> int:
         return next(self._wr_seq) * 2
+
+    def _recv_wrs(self, count: int) -> list[RecvWR]:
+        """``count`` fresh eager-slot recv WRs over the rank's region."""
+        return [
+            RecvWR(wr_id=self._recv_wr_id(), addr=self.buf.addr,
+                   length=self.buf.length, lkey=self.mr.lkey)
+            for _ in range(count)
+        ]
 
     # -- public ops -----------------------------------------------------------------
 
@@ -236,7 +244,7 @@ class VerbsRankEngine(RankEngine):
             )
             yield from self.dataplane.post_send(qp, wr)
         else:
-            msg_id = next(_msg_ids)
+            msg_id = next(self._msg_ids)
             self._rndv_send[msg_id] = (req, nbytes, payload, dest)
             yield from self._wait_sq(qp)
             wr_id = self._send_wr_id()
@@ -338,16 +346,13 @@ class VerbsRankEngine(RankEngine):
             else:
                 yield from self._handle_recv_cqe(cqe)
         # Replenish consumed recv slots, one chained post per peer.
-        for peer, count in list(self._repost_due.items()):
-            if count:
-                qp = self.qps[peer]
-                wrs = [
-                    RecvWR(wr_id=self._recv_wr_id(), addr=self.buf.addr,
-                           length=self.buf.length, lkey=self.mr.lkey)
-                    for _ in range(count)
-                ]
-                self._repost_due[peer] = 0
-                yield from self.dataplane.post_recv_many(qp, wrs)
+        if self._repost_total:
+            for peer, count in list(self._repost_due.items()):
+                if count:
+                    wrs = self._recv_wrs(count)
+                    self._repost_due[peer] = 0
+                    self._repost_total -= count
+                    yield from self.dataplane.post_recv_many(self.qps[peer], wrs)
         return True
 
     def _handle_send_cqe(self, cqe) -> Generator["Event", object, None]:
@@ -359,16 +364,15 @@ class VerbsRankEngine(RankEngine):
 
     def _handle_recv_cqe(self, cqe) -> Generator["Event", object, None]:
         peer = self.qpn_to_peer.get(cqe.qp_num)
+        if peer is not None:
+            self._repost_due[peer] = self._repost_due.get(peer, 0) + 1
+            self._repost_total += 1
         if cqe.opcode is Opcode.RDMA_WRITE_WITH_IMM:
             # Rendezvous FIN: the payload is already in place (zero copy).
-            if peer is not None:
-                self._repost_due[peer] = self._repost_due.get(peer, 0) + 1
             fin: FinHdr = cqe.meta
             req = self._rndv_recv.pop(fin.msg_id)
             req.complete(fin.src_rank, fin.tag, fin.nbytes, fin.payload)
             return
-        if peer is not None:
-            self._repost_due[peer] = self._repost_due.get(peer, 0) + 1
         hdr = cqe.meta
         if isinstance(hdr, CtsHdr):
             yield from self._start_rndv_data(hdr)

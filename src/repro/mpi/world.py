@@ -16,6 +16,7 @@ The *dataplane* operations — the object of study — are always charged.
 
 from __future__ import annotations
 
+import itertools
 from typing import TYPE_CHECKING, Callable, Optional
 
 from repro.core.dataplane import BypassDataplane, CordDataplane
@@ -63,6 +64,8 @@ class MpiWorld:
         self.transport = transport
         self.eager_threshold = eager_threshold
         self.engines: list = []
+        #: Rendezvous message ids, unique across this world's ranks.
+        self._msg_ids = itertools.count(1)
 
         nhosts = len(hosts)
         for rank in range(size):
@@ -100,7 +103,7 @@ class MpiWorld:
                 raise ConfigError("bypass cannot enforce policies")
             dataplane = BypassDataplane(host, core, tenant=f"rank{rank}")
         engine = VerbsRankEngine(self.sim, rank, host, core, dataplane, cq, mr,
-                                 eager_threshold=self.eager_threshold)
+                                 self._msg_ids, eager_threshold=self.eager_threshold)
         return engine
 
     def _make_socket_engine(self, rank, host, core):

@@ -39,10 +39,19 @@ class NpbConfig:
             raise ConfigError(f"unknown NPB class {self.klass!r}")
         if self.ranks < 2:
             raise ConfigError("NPB skeletons need at least 2 ranks")
+        if self.iterations is not None and self.iterations < 1:
+            raise ConfigError(
+                f"need at least one iteration, got iterations={self.iterations}"
+            )
+        if not (math.isfinite(self.iter_scale) and self.iter_scale > 0):
+            raise ConfigError(
+                f"iter_scale must be finite and positive, got {self.iter_scale}"
+            )
 
     def effective_iters(self, default: int) -> int:
         if self.iterations is not None:
-            return max(1, self.iterations)
+            return self.iterations
+        # A small positive scale still simulates one iteration.
         return max(1, int(round(default * self.iter_scale)))
 
 

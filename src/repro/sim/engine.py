@@ -176,6 +176,24 @@ class Simulator:
         """Create a timeout firing ``delay`` ns from now."""
         return Timeout(self, delay, value=value, name=name)
 
+    def timeout_at(self, when: float) -> Event:
+        """Create an event firing at the absolute time ``when``.
+
+        It takes the ``(when, NORMAL, seq)`` heap key a timeout scheduled
+        now would take, so same-time records still dispatch FIFO.  Use it
+        when the wake-up instant was computed as a sum of steps: adding
+        ``when - now`` back to ``now`` need not round to ``when``.
+        """
+        if when < self._now:
+            raise SimulationError(
+                f"cannot schedule into the past (when={when}, now={self._now})"
+            )
+        event = Event(self)
+        event._value = None
+        heapq.heappush(self._queue, (when, NORMAL, self._seq, event))
+        self._seq += 1
+        return event
+
     def process(self, generator: ProcessGenerator, name: str = "") -> Process:
         """Spawn a new process from a generator."""
         return Process(self, generator, name=name)

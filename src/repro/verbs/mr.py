@@ -8,7 +8,7 @@ completion but never touches memory outside registered regions (paper §4).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Optional
 
 from repro.errors import MemoryAccessError, VerbsError
@@ -31,6 +31,16 @@ class MemoryRegionV:
     rkey: int
     access: AccessFlags
     valid: bool = True
+    # Permission bits, decoded once: the NIC tests them on every post and
+    # every DMA, and ``IntFlag.__and__`` runs in Python.
+    local_write: bool = field(init=False, repr=False, compare=False)
+    remote_write: bool = field(init=False, repr=False, compare=False)
+    remote_read: bool = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        self.local_write = bool(self.access & AccessFlags.LOCAL_WRITE)
+        self.remote_write = bool(self.access & AccessFlags.REMOTE_WRITE)
+        self.remote_read = bool(self.access & AccessFlags.REMOTE_READ)
 
     def contains(self, addr: int, length: int) -> bool:
         return self.addr <= addr and addr + length <= self.addr + self.length
@@ -72,7 +82,7 @@ class MrTable:
                 f"local access [{addr:#x},+{length}) outside MR "
                 f"[{mr.addr:#x},+{mr.length})"
             )
-        if write and not mr.access & AccessFlags.LOCAL_WRITE:
+        if write and not mr.local_write:
             raise MemoryAccessError(f"MR lkey={lkey:#x} lacks LOCAL_WRITE")
         return mr
 
@@ -89,8 +99,7 @@ class MrTable:
             return None
         if not mr.contains(addr, length):
             return None
-        needed = AccessFlags.REMOTE_WRITE if write else AccessFlags.REMOTE_READ
-        if not mr.access & needed:
+        if not (mr.remote_write if write else mr.remote_read):
             return None
         return mr
 

@@ -277,6 +277,18 @@ def test_incast_buffer_below_one_message_rejected(capsys):
     assert err.count("\n") == 1 and "cannot hold one 65536 B message" in err
 
 
+@pytest.mark.parametrize("scale, shown", [("-1", "-1.0"), ("0", "0.0"), ("nan", "nan")])
+def test_npb_degenerate_iter_scale_rejected_as_one_line(capsys, scale, shown):
+    from repro.cli import run
+
+    assert run(["npb", "--bench", "IS", "--iter-scale", scale]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"repro: error: iter_scale must be finite and positive, got {shown}\n"
+    )
+
+
 def test_config_error_exits_2_without_traceback():
     import os
     import subprocess

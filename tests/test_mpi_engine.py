@@ -209,3 +209,43 @@ def test_progress_handles_interleaved_traffic_from_many_peers():
 
     results = world.run(program)
     assert results[0] == {r: 2 for r in range(1, 6)}
+
+
+# -- rendezvous ids ------------------------------------------------------------------
+
+
+def _rendezvous_immediates(monkeypatch):
+    """Run one three-rank rendezvous ring; return the FIN immediates the
+    receivers' CQs saw, in arrival order."""
+    from repro.verbs.cq import CompletionQueue
+    from repro.verbs.wr import Opcode
+
+    seen = []
+    push = CompletionQueue.push
+
+    def spy(cq, cqe):
+        if cqe.opcode is Opcode.RDMA_WRITE_WITH_IMM and cqe.imm is not None:
+            seen.append(cqe.imm)
+        push(cq, cqe)
+
+    monkeypatch.setattr(CompletionQueue, "push", spy)
+    sim, hosts, world = build_world(size=3)
+
+    def program(comm):
+        right, left = (comm.rank + 1) % 3, (comm.rank - 1) % 3
+        for i in range(2):
+            req = yield from comm.isend(right, nbytes=1 << 16, tag=i)
+            yield from comm.recv(left, tag=i)
+            yield from comm.waitall([req])
+
+    world.run(program)
+    monkeypatch.undo()
+    return seen
+
+
+def test_rendezvous_immediates_repeat_across_runs_in_one_process(monkeypatch):
+    first = _rendezvous_immediates(monkeypatch)
+    second = _rendezvous_immediates(monkeypatch)
+    assert len(first) == 6
+    assert len(set(first)) == 6  # unique across the world's ranks
+    assert second == first

@@ -25,6 +25,25 @@ def test_config_validation():
         NpbConfig(name="IS", ranks=1)
 
 
+@pytest.mark.parametrize("bad", [
+    {"iterations": 0},
+    {"iterations": -3},
+    {"iter_scale": 0.0},
+    {"iter_scale": -1.0},
+    {"iter_scale": float("nan")},
+    {"iter_scale": float("inf")},
+])
+def test_degenerate_iteration_settings_rejected(bad):
+    # Used to run one iteration silently (or die in round(nan)).
+    with pytest.raises(ConfigError, match="iteration|iter_scale"):
+        NpbConfig(name="IS", **bad)
+
+
+def test_small_iter_scale_still_runs_one_iteration():
+    assert NpbConfig(name="IS", iter_scale=0.001).effective_iters(10) == 1
+    assert NpbConfig(name="IS", iterations=2, iter_scale=0.001).effective_iters(10) == 2
+
+
 def test_class_scaling_is_monotone():
     assert CLASS_SCALE["A"] < CLASS_SCALE["B"] < CLASS_SCALE["C"] < CLASS_SCALE["D"]
 

@@ -283,6 +283,39 @@ def test_call_later_rejects_negative_delay():
         sim.call_later(-1.0, lambda _: None)
 
 
+def test_timeout_at_wakes_at_the_absolute_time():
+    sim = Simulator()
+    now, when = 0.54, 10.1
+    # A relative sleep of (when - now) does not land on ``when`` here.
+    assert now + (when - now) != when
+
+    def proc():
+        yield sim.timeout(now)
+        yield sim.timeout_at(when)
+        return sim.now
+
+    assert sim.run(sim.process(proc())) == when
+
+
+def test_timeout_at_rejects_past_times():
+    sim = Simulator()
+    sim.run(until=10.0)
+    with pytest.raises(SimulationError, match="into the past"):
+        sim.timeout_at(9.5)
+    sim.timeout_at(10.0)  # now itself is allowed
+
+
+def test_timeout_at_keeps_fifo_order_at_equal_times():
+    sim = Simulator()
+    order = []
+    sim.call_later(50.0, order.append, "later-a")
+    sim.timeout_at(50.0).callbacks.append(lambda _ev: order.append("at-b"))
+    sim.call_later(50.0, order.append, "later-c")
+    sim.timeout_at(50.0).callbacks.append(lambda _ev: order.append("at-d"))
+    sim.run()
+    assert order == ["later-a", "at-b", "later-c", "at-d"]
+
+
 def test_wait_any_returns_first_event():
     sim = Simulator()
     slow = sim.timeout(100.0, value="slow")
