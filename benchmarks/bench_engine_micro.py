@@ -1,14 +1,16 @@
 """Engine microbenchmarks: raw event-loop throughput, tracked per PR.
 
-Measures the primitives every figure benchmark is built from:
+Measures the host cost, in nanoseconds per operation, of the primitives
+every figure benchmark is built from:
 
-- ``resumes_per_sec``   — scalar-yield sleeps through the fast path;
-- ``timeouts_per_sec``  — the same loop forced through real ``Timeout``
-  events (what the engine cost before the fast path / with
-  ``REPRO_SIM_FASTPATH=0``);
-- ``events_per_sec``    — succeed-driven Event wakeups (store/CQ style);
-- ``store_hops_per_sec``— put→get rendezvous through a ``Store``;
-- ``resource_grants_per_sec`` — uncontended capacity-1 request/release.
+- ``resume_ns_per_op``  — a scalar-yield sleep (``yield 1.0``), resumed
+  off the heap through a pooled record;
+- ``timeout_ns_per_op`` — the same sleep through an explicit
+  ``sim.timeout`` event;
+- ``event_ns_per_op``   — a succeed-driven Event wakeup (store/CQ style);
+- ``store_hop_ns_per_op`` — a put→get rendezvous through a ``Store``;
+- ``resource_grant_ns_per_op`` — an uncontended capacity-1
+  request/release.
 
 Writes ``results/BENCH_engine.json`` so the trajectory is visible across
 PRs.  Run directly (``python benchmarks/bench_engine_micro.py``) or via
@@ -29,21 +31,22 @@ from repro.sim.store import Store
 N = 200_000
 
 
-def _rate(n: int, seconds: float) -> float:
-    return n / seconds if seconds > 0 else float("inf")
+def _ns_per_op(n: int, sim: Simulator) -> float:
+    """Run ``sim`` to completion; host nanoseconds per operation."""
+    t0 = time.perf_counter()
+    sim.run()
+    return (time.perf_counter() - t0) / n * 1e9
 
 
-def bench_scalar_resumes(n: int, fastpath: bool = True) -> float:
-    sim = Simulator(fastpath=fastpath)
+def bench_scalar_resumes(n: int) -> float:
+    sim = Simulator()
 
     def sleeper():
         for _ in range(n):
             yield 1.0
 
     sim.process(sleeper())
-    t0 = time.perf_counter()
-    sim.run()
-    return _rate(n, time.perf_counter() - t0)
+    return _ns_per_op(n, sim)
 
 
 def bench_timeout_events(n: int) -> float:
@@ -55,9 +58,7 @@ def bench_timeout_events(n: int) -> float:
             yield timeout(1.0)
 
     sim.process(sleeper())
-    t0 = time.perf_counter()
-    sim.run()
-    return _rate(n, time.perf_counter() - t0)
+    return _ns_per_op(n, sim)
 
 
 def bench_event_wakeups(n: int) -> float:
@@ -70,9 +71,7 @@ def bench_event_wakeups(n: int) -> float:
             yield ev_box[0]
 
     sim.process(waker([None]))
-    t0 = time.perf_counter()
-    sim.run()
-    return _rate(n, time.perf_counter() - t0)
+    return _ns_per_op(n, sim)
 
 
 def bench_store_hops(n: int) -> float:
@@ -90,9 +89,7 @@ def bench_store_hops(n: int) -> float:
 
     sim.process(producer())
     sim.process(consumer())
-    t0 = time.perf_counter()
-    sim.run()
-    return _rate(n, time.perf_counter() - t0)
+    return _ns_per_op(n, sim)
 
 
 def bench_resource_grants(n: int) -> float:
@@ -107,25 +104,19 @@ def bench_resource_grants(n: int) -> float:
             res.release(req)
 
     sim.process(worker())
-    t0 = time.perf_counter()
-    sim.run()
-    return _rate(n, time.perf_counter() - t0)
+    return _ns_per_op(n, sim)
 
 
 def run_all(n: int | None = None) -> dict:
     n = scaled(N) if n is None else n
-    results = {
+    return {
         "n_ops": n,
-        "resumes_per_sec": bench_scalar_resumes(n),
-        "timeouts_per_sec": bench_timeout_events(n),
-        "events_per_sec": bench_event_wakeups(n),
-        "store_hops_per_sec": bench_store_hops(n),
-        "resource_grants_per_sec": bench_resource_grants(n),
+        "resume_ns_per_op": bench_scalar_resumes(n),
+        "timeout_ns_per_op": bench_timeout_events(n),
+        "event_ns_per_op": bench_event_wakeups(n),
+        "store_hop_ns_per_op": bench_store_hops(n),
+        "resource_grant_ns_per_op": bench_resource_grants(n),
     }
-    results["fastpath_speedup"] = (
-        results["resumes_per_sec"] / results["timeouts_per_sec"]
-    )
-    return results
 
 
 def emit_json(results: dict) -> None:
@@ -139,11 +130,11 @@ def emit_json(results: dict) -> None:
 def test_engine_micro():
     results = run_all()
     for key, value in results.items():
-        print(f"{key:>24}: {value:,.0f}" if "per_sec" in key
+        print(f"{key:>24}: {value:,.1f}" if "ns_per_op" in key
               else f"{key:>24}: {value}")
     emit_json(results)
-    # The fast path must actually be faster than the Timeout path.
-    assert results["resumes_per_sec"] > results["timeouts_per_sec"]
+    # A scalar resume must stay cheaper than an explicit Timeout.
+    assert results["resume_ns_per_op"] < results["timeout_ns_per_op"]
 
 
 if __name__ == "__main__":

@@ -7,9 +7,9 @@ SimPy-flavoured API (written from scratch; SimPy is not a dependency):
 - :class:`~repro.sim.events.Event`, :class:`~repro.sim.events.Timeout`,
   :class:`~repro.sim.events.AnyOf` / :class:`~repro.sim.events.AllOf`.
 - :class:`~repro.sim.process.Process` — generator-based cooperative
-  processes that ``yield`` events.
-- :mod:`~repro.sim.resources` — capacity-limited resources with optional
-  priorities (kernel RX queues, storage, PCIe), plus the capacity-1
+  processes that ``yield`` events or bare delays.
+- :mod:`~repro.sim.resources` — capacity-limited FIFO resources (kernel
+  RX queues, storage, PCIe), plus the capacity-1
   serial servers (:class:`~repro.sim.resources.FifoLock` for CPU cores
   and fabric ports, :class:`~repro.sim.resources.SerialQueue` for NIC
   engines).
@@ -24,7 +24,7 @@ from repro.sim.engine import Simulator
 from repro.sim.events import AllOf, AnyOf, Event, Timeout
 from repro.sim.fastforward import FastForward, FastForwardStats, Skip
 from repro.sim.process import Process
-from repro.sim.resources import FifoLock, PriorityResource, Resource, SerialQueue
+from repro.sim.resources import FifoLock, Resource, SerialQueue
 from repro.sim.store import FilterStore, Store
 from repro.sim.rng import RngRegistry
 from repro.sim.trace import Trace, Counter
@@ -40,7 +40,6 @@ __all__ = [
     "Skip",
     "Process",
     "Resource",
-    "PriorityResource",
     "FifoLock",
     "SerialQueue",
     "Store",

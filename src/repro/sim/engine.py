@@ -6,34 +6,34 @@ deterministic FIFO order within a priority class — determinism is a hard
 requirement because hardware profiles carry seeded jitter and benchmark
 results must be exactly reproducible.
 
-Fast path
----------
+Heap records
+------------
 
-Processes may yield a bare ``float``/``int`` number of nanoseconds instead
-of a :class:`~repro.sim.events.Timeout`::
+The heap holds three kinds of record.  An :class:`~repro.sim.events.Event`
+runs its callbacks.  A pooled :class:`~repro.sim.process._Resume` resumes a
+process straight off the heap: processes yield a bare ``float``/``int``
+number of nanoseconds to sleep (``yield 250.0`` takes the key ``yield
+sim.timeout(250.0)`` would take), and every process's first step is kicked
+the same way.  A pooled :class:`_Callback`, pushed by
+:meth:`Simulator.call_later`, invokes ``fn(arg)`` (e.g. link propagation
+delivery).  Pooled records are recycled the moment they pop, so the
+steady-state hot loop allocates nothing per delay.
 
-    yield 250.0        # equivalent to: yield sim.timeout(250.0)
+Dispatch loops
+--------------
 
-The engine then schedules a pooled :class:`_Resume` record and resumes the
-generator straight off the heap — no ``Timeout`` object, no callback list,
-no event state machine.  The record is recycled through a free pool the
-moment it pops, so the steady-state hot loop allocates nothing per delay.
-Scheduling order is identical to the ``Timeout`` path (same
-``(time, priority, sequence)`` key allocated at the same point), so
-simulation results are bit-identical either way; ``REPRO_SIM_FASTPATH=0``
-forces scalar yields through real ``Timeout`` events to prove it (see
-``tests/test_golden_determinism.py``).
-
-:meth:`Simulator.call_later` is the matching primitive for fire-and-forget
-callbacks (e.g. link propagation delivery): a pooled record invoking
-``fn(arg)`` at the scheduled time, again without an Event allocation.
+:meth:`Simulator.run` is the hot loop: locals bound once, record dispatch
+inlined, no hooks.  When a sanitizer or a chooser is attached it hands over
+to :meth:`Simulator._run_instrumented`, which dispatches the same records in
+the same order but reports each one to the sanitizer and lets the chooser
+pick among same-instant ties.
 """
 
 from __future__ import annotations
 
 import heapq
 import os
-from typing import TYPE_CHECKING, Callable, Iterable, Optional
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Optional
 
 from repro.errors import SimulationError
 
@@ -48,10 +48,6 @@ from repro.sim.trace import Trace
 from repro.telemetry.metrics import Telemetry
 
 
-class _EmptySchedule(Exception):
-    """Internal: the event heap ran dry."""
-
-
 class _Callback:
     """Pooled heap record: invoke ``fn(arg)`` at the scheduled time."""
 
@@ -60,10 +56,6 @@ class _Callback:
     def __init__(self) -> None:
         self.fn = None
         self.arg = None
-
-
-def _env_fastpath() -> bool:
-    return os.environ.get("REPRO_SIM_FASTPATH", "1").lower() not in ("0", "false", "no")
 
 
 def _env_monitors() -> bool:
@@ -89,9 +81,6 @@ class Simulator:
         registry; a disabled one is created by default.  Like the trace,
         instrumented sites pay one branch when it is off, and enabling it
         never alters simulation results (it only mutates Python counters).
-    fastpath:
-        Force the scalar-yield fast path on/off; ``None`` (default) reads
-        ``REPRO_SIM_FASTPATH`` from the environment (on unless ``0``).
     sanitize:
         Attach the :mod:`repro.sanitize` runtime checkers (same-timestamp
         race detector, RNG stream discipline, no-time-travel); ``None``
@@ -110,17 +99,15 @@ class Simulator:
     """
 
     __slots__ = (
-        "_now", "_queue", "_seq", "_active_process", "_fastpath",
-        "_resume_pool", "_cb_pool", "_sanitize", "_time_hooks",
-        "_state_providers", "_monitor", "_chooser", "rng", "trace",
-        "telemetry",
+        "_now", "_queue", "_seq", "_active_process", "_resume_pool",
+        "_cb_pool", "_sanitize", "_time_hooks", "_state_providers",
+        "_monitor", "_chooser", "rng", "trace", "telemetry",
     )
 
     def __init__(
         self,
         seed: int = 0,
         trace: Optional[Trace] = None,
-        fastpath: Optional[bool] = None,
         telemetry: Optional[Telemetry] = None,
         sanitize: Optional[bool] = None,
         monitors: Optional[bool] = None,
@@ -129,7 +116,6 @@ class Simulator:
         self._queue: list[tuple[float, int, int, object]] = []
         self._seq: int = 0
         self._active_process: Optional[Process] = None
-        self._fastpath: bool = _env_fastpath() if fastpath is None else bool(fastpath)
         self._resume_pool: list[_Resume] = []
         self._cb_pool: list[_Callback] = []
         self._time_hooks: list[Callable[[float], None]] = []
@@ -151,7 +137,7 @@ class Simulator:
 
             self._monitor = ProtocolMonitor(self, strict=True)
         #: Deterministic choice-point hook (repro.verify.choice); when
-        #: attached, run() uses the instrumented _run_chosen loop.
+        #: attached, run() uses the instrumented loop.
         self._chooser: Optional["Chooser"] = None
 
     # -- clock ----------------------------------------------------------------
@@ -258,15 +244,6 @@ class Simulator:
         heapq.heappush(self._queue, (self._now + delay, priority, self._seq, event))
         self._seq += 1
 
-    def _schedule_resume(self, process: Process, delay: float, priority: int = NORMAL) -> _Resume:
-        """Fast path: schedule a direct process resume ``delay`` ns from now."""
-        pool = self._resume_pool
-        rec = pool.pop() if pool else _Resume()
-        rec.process = process
-        heapq.heappush(self._queue, (self._now + delay, priority, self._seq, rec))
-        self._seq += 1
-        return rec
-
     def call_later(self, delay: float, fn: Callable[[object], None], arg: object = None) -> None:
         """Run ``fn(arg)`` after ``delay`` ns (fire-and-forget, no Event).
 
@@ -276,10 +253,6 @@ class Simulator:
         """
         if delay < 0:
             raise SimulationError(f"cannot schedule into the past (delay={delay})")
-        if not self._fastpath:
-            ev = Timeout(self, delay)
-            ev.callbacks.append(lambda _ev, fn=fn, arg=arg: fn(arg))
-            return
         pool = self._cb_pool
         rec = pool.pop() if pool else _Callback()
         rec.fn = fn
@@ -320,7 +293,7 @@ class Simulator:
         """Attach a deterministic choice-point hook for model checking.
 
         With a chooser attached, :meth:`run` delegates to the instrumented
-        :meth:`_run_chosen` loop: whenever more than one heap record shares
+        :meth:`_run_instrumented` loop: whenever more than one heap record shares
         the minimal ``(time, priority)``, the chooser picks which one
         dispatches next (index into the FIFO-ordered front).  Index 0 at
         every choice point reproduces the default sequence-number order
@@ -380,41 +353,6 @@ class Simulator:
                 hook(shift)
         return len(queue)
 
-    def step(self) -> None:
-        """Process exactly one event (or fast-path record)."""
-        try:
-            when, _prio, _seq, event = heapq.heappop(self._queue)
-        except IndexError:
-            raise _EmptySchedule() from None
-        if self._sanitize is not None:
-            self._sanitize.on_dispatch(when, _prio, event)
-        if when < self._now:  # pragma: no cover - heap invariant guard
-            raise SimulationError("event scheduled in the past")
-        self._now = when
-
-        cls = event.__class__
-        if cls is _Resume:
-            process = event.process
-            event.process = None
-            self._resume_pool.append(event)
-            if process is not None:
-                process._step(None, None)
-            return
-        if cls is _Callback:
-            fn, arg = event.fn, event.arg
-            event.fn = event.arg = None
-            self._cb_pool.append(event)
-            fn(arg)
-            return
-
-        callbacks, event.callbacks = event.callbacks, None
-        for callback in callbacks:
-            callback(event)
-
-        if not event._ok and not event._defused:
-            # A failure nobody waited for: surface it instead of losing it.
-            raise event._value
-
     # -- running ----------------------------------------------------------------
 
     def run(self, until: "float | Event | None" = None) -> object:
@@ -427,26 +365,9 @@ class Simulator:
         - an :class:`Event` — run until the event is processed and return its
           value (raising its exception if it failed).
         """
-        if self._chooser is not None:
-            return self._run_chosen(until)
-        if self._sanitize is not None:
-            return self._run_sanitized(until)
-        stop_event: Optional[Event] = None
-        if until is None:
-            deadline = float("inf")
-        elif isinstance(until, Event):
-            stop_event = until
-            deadline = float("inf")
-            if stop_event.processed:
-                if stop_event._ok:
-                    return stop_event._value
-                raise stop_event._value  # type: ignore[misc]
-        else:
-            deadline = float(until)
-            if deadline < self._now:
-                raise SimulationError(
-                    f"run(until={deadline}) is in the past (now={self._now})"
-                )
+        if self._chooser is not None or self._sanitize is not None:
+            return self._run_instrumented(until)
+        stop_event, deadline = self._bounds(until)
 
         # Hot loop: locals bound once, record dispatch inlined.  This is the
         # innermost loop of every benchmark; it must not allocate.
@@ -455,22 +376,9 @@ class Simulator:
         resume_pool = self._resume_pool
         cb_pool = self._cb_pool
         while True:
-            if stop_event is not None and stop_event.callbacks is None:
-                if stop_event._ok:
-                    return stop_event._value
-                stop_event._defused = True
-                raise stop_event._value  # type: ignore[misc]
-            if not queue:
-                if stop_event is not None:
-                    raise SimulationError(
-                        "run() stop event will never be triggered: no events left"
-                    )
-                if deadline != float("inf"):
-                    self._now = deadline
-                return None
-            if queue[0][0] > deadline:
-                self._now = deadline
-                return None
+            if (stop_event is not None and stop_event.callbacks is None) \
+                    or not queue or queue[0][0] > deadline:
+                return self._exit(stop_event, deadline)
 
             when, _prio, _seq, event = heappop(queue)
             self._now = when
@@ -496,179 +404,119 @@ class Simulator:
             if not event._ok and not event._defused:
                 raise event._value
 
-    def _run_sanitized(self, until: "float | Event | None" = None) -> object:
-        """Instrumented twin of :meth:`run` used when a sanitizer is attached.
+    def _run_instrumented(self, until: "float | Event | None") -> object:
+        """Twin of :meth:`run` used when a chooser or a sanitizer is attached.
 
-        Same semantics, but each dispatch first reports to the
-        :class:`~repro.sanitize.runtime.RuntimeSanitizer` (bucket
-        accounting for the same-timestamp race detector, the RNG
-        in-dispatch window, the no-time-travel assertion).  Kept separate
-        so the sanitizers-off hot loop above stays branch-free.
+        Same records in the same order, with two optional hooks:
+
+        - a chooser: whenever several heap records share the minimal
+          ``(time, priority)`` — a genuine simultaneity the hot loop breaks
+          by insertion order — the whole tied front is popped and the
+          chooser selects which record dispatches; the rest are pushed back
+          with their original keys (order-preserving, so later choice points
+          see the same FIFO front).  A chooser answering 0 everywhere
+          reproduces the default schedule bit-for-bit.
+        - a sanitizer: each dispatch first reports to the
+          :class:`~repro.sanitize.runtime.RuntimeSanitizer` (bucket
+          accounting for the same-timestamp race detector, the no-time-travel
+          assertion) and runs inside its ``in_dispatch`` window (RNG draws).
+
+        Kept apart so the hot loop in :meth:`run` stays free of hooks.
         """
+        stop_event, deadline = self._bounds(until)
+        chooser = self._chooser
         san = self._sanitize
-        san.begin_run()
-        stop_event: Optional[Event] = None
-        if until is None:
-            deadline = float("inf")
-        elif isinstance(until, Event):
-            stop_event = until
-            deadline = float("inf")
-            if stop_event.processed:
-                if stop_event._ok:
-                    return stop_event._value
-                raise stop_event._value  # type: ignore[misc]
-        else:
-            deadline = float(until)
-            if deadline < self._now:
-                raise SimulationError(
-                    f"run(until={deadline}) is in the past (now={self._now})"
-                )
-
         queue = self._queue
         heappop = heapq.heappop
-        resume_pool = self._resume_pool
-        cb_pool = self._cb_pool
+        if san is not None:
+            san.begin_run()
         try:
             while True:
-                if stop_event is not None and stop_event.callbacks is None:
-                    if stop_event._ok:
-                        return stop_event._value
-                    stop_event._defused = True
-                    raise stop_event._value  # type: ignore[misc]
-                if not queue:
-                    if stop_event is not None:
-                        raise SimulationError(
-                            "run() stop event will never be triggered: no events left"
-                        )
-                    if deadline != float("inf"):
-                        self._now = deadline
-                    return None
-                if queue[0][0] > deadline:
-                    self._now = deadline
-                    return None
+                if (stop_event is not None and stop_event.callbacks is None) \
+                        or not queue or queue[0][0] > deadline:
+                    return self._exit(stop_event, deadline)
 
-                when, prio, _seq, event = heappop(queue)
-                san.on_dispatch(when, prio, event)
+                record = heappop(queue)
+                when, prio = record[0], record[1]
+                # Gather the tied front: heap pops of equal keys come out in
+                # sequence order, i.e. exactly the default dispatch order.
+                if chooser is not None and queue and not queue[0][0] > when \
+                        and queue[0][1] == prio:
+                    front = [record]
+                    while queue and not queue[0][0] > when and queue[0][1] == prio:
+                        front.append(heappop(queue))
+                    record = front.pop(chooser.choose(len(front), front))
+                    for rec in front:
+                        heapq.heappush(queue, rec)
+                event = record[3]
+                if san is not None:
+                    san.on_dispatch(when, prio, event)
                 if when < self._now:
                     raise SimulationError("event scheduled in the past")
                 self._now = when
+                if san is None:
+                    self._dispatch(event)
+                    continue
                 san.in_dispatch = True
                 try:
-                    cls = event.__class__
-                    if cls is _Resume:
-                        process = event.process
-                        event.process = None
-                        resume_pool.append(event)
-                        if process is not None:
-                            process._step(None, None)
-                        continue
-                    if cls is _Callback:
-                        fn, arg = event.fn, event.arg
-                        event.fn = event.arg = None
-                        cb_pool.append(event)
-                        fn(arg)
-                        continue
-
-                    callbacks = event.callbacks
-                    event.callbacks = None
-                    for callback in callbacks:
-                        callback(event)
-                    if not event._ok and not event._defused:
-                        raise event._value
+                    self._dispatch(event)
                 finally:
                     san.in_dispatch = False
         finally:
-            san.finish()
+            if san is not None:
+                san.finish()
 
-    def _run_chosen(self, until: "float | Event | None" = None) -> object:
-        """Instrumented twin of :meth:`run` used when a chooser is attached.
+    def _dispatch(self, event: Any) -> None:
+        """Execute one popped heap record (the instrumented loop's body)."""
+        cls = event.__class__
+        if cls is _Resume:
+            process = event.process
+            event.process = None
+            self._resume_pool.append(event)
+            if process is not None:
+                process._step(None, None)
+            return
+        if cls is _Callback:
+            fn, arg = event.fn, event.arg
+            event.fn = event.arg = None
+            self._cb_pool.append(event)
+            fn(arg)
+            return
+        callbacks = event.callbacks
+        event.callbacks = None
+        for callback in callbacks:
+            callback(event)
+        if not event._ok and not event._defused:
+            raise event._value
 
-        Same semantics, but whenever several heap records share the minimal
-        ``(time, priority)`` — a genuine simultaneity the default loop
-        breaks by insertion order — the whole tied front is popped and the
-        chooser selects which record dispatches; the rest are pushed back
-        with their original keys (order-preserving, so later choice points
-        see the same FIFO front).  A chooser answering 0 everywhere
-        reproduces the default schedule bit-for-bit.  Kept separate so the
-        chooser-off hot loop in :meth:`run` stays branch-free.
-        """
-        chooser = self._chooser
-        assert chooser is not None
-        stop_event: Optional[Event] = None
+    def _bounds(self, until: "float | Event | None") -> "tuple[Optional[Event], float]":
+        """Parse ``run(until)`` into ``(stop_event, deadline)``."""
         if until is None:
-            deadline = float("inf")
-        elif isinstance(until, Event):
-            stop_event = until
-            deadline = float("inf")
-            if stop_event.processed:
-                if stop_event._ok:
-                    return stop_event._value
-                raise stop_event._value  # type: ignore[misc]
-        else:
-            deadline = float(until)
-            if deadline < self._now:
+            return None, float("inf")
+        if isinstance(until, Event):
+            return until, float("inf")
+        deadline = float(until)
+        if deadline < self._now:
+            raise SimulationError(
+                f"run(until={deadline}) is in the past (now={self._now})"
+            )
+        return None, deadline
+
+    def _exit(self, stop_event: Optional[Event], deadline: float) -> object:
+        """Leave a run loop: the stop event was processed, the heap ran dry,
+        or the next record lies past ``deadline``."""
+        if stop_event is not None:
+            if stop_event.callbacks is not None:
                 raise SimulationError(
-                    f"run(until={deadline}) is in the past (now={self._now})"
+                    "run() stop event will never be triggered: no events left"
                 )
-
-        queue = self._queue
-        heappop = heapq.heappop
-        heappush = heapq.heappush
-        resume_pool = self._resume_pool
-        cb_pool = self._cb_pool
-        while True:
-            if stop_event is not None and stop_event.callbacks is None:
-                if stop_event._ok:
-                    return stop_event._value
-                stop_event._defused = True
-                raise stop_event._value  # type: ignore[misc]
-            if not queue:
-                if stop_event is not None:
-                    raise SimulationError(
-                        "run() stop event will never be triggered: no events left"
-                    )
-                if deadline != float("inf"):
-                    self._now = deadline
-                return None
-            if queue[0][0] > deadline:
-                self._now = deadline
-                return None
-
-            record = heappop(queue)
-            when, prio = record[0], record[1]
-            # Gather the tied front: heap pops of equal keys come out in
-            # sequence order, i.e. exactly the default dispatch order.
-            if queue and not queue[0][0] > when and queue[0][1] == prio:
-                front = [record]
-                while queue and not queue[0][0] > when and queue[0][1] == prio:
-                    front.append(heappop(queue))
-                idx = chooser.choose(len(front), front)
-                record = front.pop(idx)
-                for rec in front:
-                    heappush(queue, rec)
-            event = record[3]
-            self._now = when
-            cls = event.__class__
-            if cls is _Resume:
-                process = event.process
-                event.process = None
-                resume_pool.append(event)
-                if process is not None:
-                    process._step(None, None)
-                continue
-            if cls is _Callback:
-                fn, arg = event.fn, event.arg
-                event.fn = event.arg = None
-                cb_pool.append(event)
-                fn(arg)
-                continue
-
-            callbacks = event.callbacks
-            event.callbacks = None
-            for callback in callbacks:
-                callback(event)
-            if not event._ok and not event._defused:
-                raise event._value
+            if stop_event._ok:
+                return stop_event._value
+            stop_event._defused = True
+            raise stop_event._value  # type: ignore[misc]
+        if deadline != float("inf"):
+            self._now = deadline
+        return None
 
     def run_until_idle(self) -> None:
         """Drain every pending event (alias of ``run(None)`` for readability)."""

@@ -35,7 +35,6 @@ allocated at the same point as before and same-time ties keep their order.
 
 from __future__ import annotations
 
-import heapq
 from collections import deque
 from typing import TYPE_CHECKING, Callable, Optional
 
@@ -49,9 +48,9 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 class Request(Event):
     """A pending or granted claim on a :class:`Resource` slot."""
 
-    __slots__ = ("resource", "priority", "_order")
+    __slots__ = ("resource",)
 
-    def __init__(self, resource: "Resource", priority: int = 0):
+    def __init__(self, resource: "Resource"):
         # Inlined Event.__init__ with the resource's precomputed request name
         # (one request is allocated per grab).  The
         # callbacks list is left unset; Resource.request fills it in (None
@@ -62,18 +61,12 @@ class Request(Event):
         self._ok = True
         self._defused = False
         self.resource = resource
-        self.priority = priority
-        resource._order_seq += 1
-        self._order = resource._order_seq
 
     def __enter__(self) -> "Request":
         return self
 
     def __exit__(self, exc_type, exc, tb) -> None:
         self.resource.release(self)
-
-    def __lt__(self, other: "Request") -> bool:
-        return (self.priority, self._order) < (other.priority, other._order)
 
 
 class Resource:
@@ -85,7 +78,6 @@ class Resource:
         "name",
         "users",
         "queue",
-        "_order_seq",
         "_busy_integral",
         "_last_change",
         "_req_name",
@@ -100,14 +92,9 @@ class Resource:
         self._req_name = f"req:{name}"
         self.users: list[Request] = []
         self.queue: list[Request] = []
-        self._order_seq = 0
         # Utilization accounting: busy integral for average-occupancy stats.
         self._busy_integral = 0.0
         self._last_change = sim.now
-
-    def _next_order(self) -> int:
-        self._order_seq += 1
-        return self._order_seq
 
     # -- accounting ------------------------------------------------------------
 
@@ -133,7 +120,7 @@ class Resource:
 
     # -- protocol ---------------------------------------------------------------
 
-    def request(self, priority: int = 0) -> Request:
+    def request(self) -> Request:
         """Claim a slot; the returned event succeeds when granted.
 
         An uncontended grant completes the request *inline* (the event is
@@ -142,7 +129,7 @@ class Resource:
         timestamp anyway.  Contended requests queue and are granted through
         the event loop by :meth:`release`, preserving FIFO wake order.
         """
-        req = Request(self, priority=priority)
+        req = Request(self)
         sim = self.sim
         now = sim._now
         # sim: allow-float-eq(same-instant skip; both floats are copies of sim.now)
@@ -156,7 +143,7 @@ class Resource:
             parked = False
         else:
             req.callbacks = []
-            self._enqueue(req)
+            self.queue.append(req)
             parked = True
         san = sim._sanitize
         if san is not None:
@@ -165,12 +152,6 @@ class Resource:
             san.note_touch(self, f"resource {self.name!r}", "request",
                            contended=parked)
         return req
-
-    def _enqueue(self, req: Request) -> None:
-        self.queue.append(req)
-
-    def _dequeue(self) -> Optional[Request]:
-        return self.queue.pop(0) if self.queue else None
 
     def release(self, req: Request) -> None:
         """Return a slot.  Releasing a queued (ungranted) request cancels it."""
@@ -189,52 +170,17 @@ class Resource:
         try:
             self.users.remove(req)
         except ValueError:
-            self._cancel(req)
+            try:
+                self.queue.remove(req)
+            except ValueError:
+                raise SimulationError(
+                    f"release of {req!r} that neither holds nor waits for {self.name}"
+                ) from None
             return
-        nxt = self._dequeue()
-        if nxt is not None:
+        if self.queue:
+            nxt = self.queue.pop(0)
             self.users.append(nxt)
             nxt.succeed(nxt)
-
-    def _cancel(self, req: Request) -> None:
-        try:
-            self.queue.remove(req)
-        except ValueError:
-            raise SimulationError(
-                f"release of {req!r} that neither holds nor waits for {self.name}"
-            ) from None
-
-
-class PriorityResource(Resource):
-    """Resource whose wait queue is ordered by (priority, FIFO).
-
-    Lower priority values are served first, matching SimPy convention.
-    """
-
-    __slots__ = ("_heap",)
-
-    def __init__(self, sim: "Simulator", capacity: int = 1, name: str = "presource"):
-        super().__init__(sim, capacity=capacity, name=name)
-        self._heap: list[Request] = []
-
-    def _enqueue(self, req: Request) -> None:
-        heapq.heappush(self._heap, req)
-
-    def _dequeue(self) -> Optional[Request]:
-        return heapq.heappop(self._heap) if self._heap else None
-
-    def _cancel(self, req: Request) -> None:
-        try:
-            self._heap.remove(req)
-            heapq.heapify(self._heap)
-        except ValueError:
-            raise SimulationError(
-                f"release of {req!r} that neither holds nor waits for {self.name}"
-            ) from None
-
-    @property
-    def queue_length(self) -> int:
-        return len(self._heap)
 
 
 class FifoLock:

@@ -205,8 +205,7 @@ def test_advance_clock_translates_pending_events():
 
     sim.process(waiter(100.0, "a"))
     sim.process(waiter(250.0, "b"))
-    sim.step()  # initial resumes
-    sim.step()
+    sim.run(0.0)  # the two initial resumes
     moved = sim.advance_clock(40.0)
     assert moved == 2
     assert sim.now == 40.0

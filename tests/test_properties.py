@@ -5,7 +5,7 @@ import math
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sim import FilterStore, PriorityResource, Resource, Simulator, Store
+from repro.sim import FilterStore, Resource, Simulator, Store
 from repro.sim.rng import lognormal_jitter
 from repro.core.policies import TokenBucketQos
 from repro.core.policy import OpContext
@@ -114,32 +114,6 @@ def test_resource_never_exceeds_capacity(capacity, holds):
     sim.run()
     assert max_seen[0] <= capacity
     assert res.count == 0
-
-
-@given(st.lists(st.integers(min_value=0, max_value=5), min_size=2, max_size=20))
-def test_priority_resource_serves_in_priority_order(priorities):
-    sim = Simulator()
-    res = PriorityResource(sim, capacity=1)
-    served = []
-
-    def holder():
-        req = res.request()
-        yield req
-        yield sim.timeout(10.0)
-        res.release(req)
-
-    def user(prio, idx):
-        yield sim.timeout(1.0)
-        req = res.request(priority=prio)
-        yield req
-        served.append((prio, idx))
-        res.release(req)
-
-    sim.process(holder())
-    for idx, prio in enumerate(priorities):
-        sim.process(user(prio, idx))
-    sim.run()
-    assert served == sorted(served)  # by (priority, arrival index)
 
 
 # -- rng ------------------------------------------------------------------------------

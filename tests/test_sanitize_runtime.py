@@ -49,8 +49,9 @@ def test_findings_of_unsanitized_sim_is_empty():
 # -- SIM101: same-timestamp races -------------------------------------------------
 
 
-def _two_requesters(stagger=0.0):
+def _two_requesters(stagger=0.0, chooser=None):
     sim = Simulator(sanitize=True)
+    sim.attach_chooser(chooser)
     core = Resource(sim, capacity=1, name="core0")
 
     def worker(delay):
@@ -79,6 +80,16 @@ def test_resource_race_at_same_timestamp_names_both_events():
 
 def test_staggered_requests_are_clean():
     assert _two_requesters(stagger=1.0) == []
+
+
+def test_sanitizer_still_reports_with_a_chooser_attached():
+    # The model checker attaches a chooser; its runs must keep the
+    # sanitizer's findings rather than dispatch around it.
+    from repro.verify.choice import ScriptedChooser
+
+    chooser = ScriptedChooser(())
+    assert _rules(_two_requesters(stagger=0.0, chooser=chooser)) == ["SIM101"]
+    assert chooser.trail  # the tied wake-ups did pass through the chooser
 
 
 def _two_core_users(stagger=0.0):

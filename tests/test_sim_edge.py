@@ -109,14 +109,15 @@ def test_condition_value_mapping_interface():
     assert sim.run(sim.process(proc())) == "b"
 
 
-def test_yielding_foreign_simulator_event_fails():
+@pytest.mark.parametrize("start", ["process", "spawn"])
+def test_yielding_foreign_simulator_event_fails(start):
     sim1 = Simulator()
     sim2 = Simulator()
 
     def proc():
         yield sim2.timeout(1.0)
 
-    sim1.process(proc())
+    getattr(sim1, start)(proc())
     with pytest.raises(SimulationError, match="another simulator"):
         sim1.run()
 

@@ -6,6 +6,10 @@ from repro.errors import ProcessInterrupt, SimulationError
 from repro.sim import Simulator
 from repro.units import us
 
+#: Every resume-loop case runs under both drivers: the joinable
+#: ``sim.process`` and the fire-and-forget ``sim.spawn``.
+DRIVERS = pytest.mark.parametrize("start", ["process", "spawn"])
+
 
 def test_clock_starts_at_zero():
     sim = Simulator()
@@ -141,6 +145,23 @@ def test_unhandled_process_exception_propagates_from_run():
         sim.run()
 
 
+@DRIVERS
+def test_crash_fails_the_join_event_or_leaves_run(start):
+    sim = Simulator()
+
+    def bad():
+        yield 1.0
+        raise RuntimeError("crash")
+
+    handle = getattr(sim, start)(bad())
+    with pytest.raises(RuntimeError, match="crash"):
+        sim.run()
+    if start == "process":
+        # The crash failed the join event; run() re-raised it unhandled.
+        # A spawned generator has no join event: it leaves run() directly.
+        assert not handle.ok and isinstance(handle.value, RuntimeError)
+
+
 def test_joined_process_exception_delivered_to_parent():
     sim = Simulator()
 
@@ -157,32 +178,36 @@ def test_joined_process_exception_delivered_to_parent():
     assert sim.run(sim.process(parent())) == "handled"
 
 
-def test_yield_non_event_is_an_error():
+@DRIVERS
+def test_yield_non_event_is_an_error(start):
     sim = Simulator()
 
     def bad():
         yield "not an event"
 
-    sim.process(bad())
+    getattr(sim, start)(bad())
     with pytest.raises(SimulationError):
         sim.run()
 
 
-@pytest.mark.parametrize("fastpath", [True, False])
-def test_scalar_yield_is_a_delay(fastpath):
-    sim = Simulator(fastpath=fastpath)
+@DRIVERS
+def test_scalar_yield_is_a_delay(start):
+    sim = Simulator()
+    woke = []
 
     def proc():
         yield 100.0
         yield 50  # ints work too
-        return sim.now
+        woke.append(sim.now)
 
-    assert sim.run(sim.process(proc())) == 150.0
+    getattr(sim, start)(proc())
+    sim.run()
+    assert woke == [150.0]
 
 
-@pytest.mark.parametrize("fastpath", [True, False])
-def test_scalar_yield_zero_delay(fastpath):
-    sim = Simulator(fastpath=fastpath)
+@DRIVERS
+def test_scalar_yield_zero_delay(start):
+    sim = Simulator()
     order = []
 
     def a():
@@ -193,25 +218,26 @@ def test_scalar_yield_zero_delay(fastpath):
         yield 0.0
         order.append("b")
 
-    sim.process(a())
-    sim.process(b())
+    getattr(sim, start)(a())
+    getattr(sim, start)(b())
     sim.run()
     assert order == ["a", "b"]
 
 
-@pytest.mark.parametrize("fastpath", [True, False])
-def test_negative_scalar_yield_is_an_error(fastpath):
-    sim = Simulator(fastpath=fastpath)
+@DRIVERS
+def test_negative_scalar_yield_is_an_error(start):
+    sim = Simulator()
 
     def bad():
         yield -1.0
 
-    sim.process(bad())
+    getattr(sim, start)(bad())
     with pytest.raises(SimulationError):
         sim.run()
 
 
-def test_bool_yield_is_not_a_delay():
+@DRIVERS
+def test_bool_yield_is_not_a_delay(start):
     # bool is an int subclass; yielding one is almost certainly a bug, so it
     # takes the non-event error path rather than sleeping 0/1 ns.
     sim = Simulator()
@@ -219,14 +245,13 @@ def test_bool_yield_is_not_a_delay():
     def bad():
         yield True
 
-    sim.process(bad())
+    getattr(sim, start)(bad())
     with pytest.raises(SimulationError):
         sim.run()
 
 
-@pytest.mark.parametrize("fastpath", [True, False])
-def test_scalar_and_timeout_interleave_identically(fastpath):
-    sim = Simulator(fastpath=fastpath)
+def test_scalar_and_timeout_interleave_identically():
+    sim = Simulator()
     order = []
 
     def scalar():
@@ -244,9 +269,8 @@ def test_scalar_and_timeout_interleave_identically(fastpath):
     assert order == [("scalar", 10.0), ("timeout", 10.0)]
 
 
-@pytest.mark.parametrize("fastpath", [True, False])
-def test_interrupt_during_scalar_sleep(fastpath):
-    sim = Simulator(fastpath=fastpath)
+def test_interrupt_during_scalar_sleep():
+    sim = Simulator()
 
     def sleeper():
         try:

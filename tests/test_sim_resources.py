@@ -6,7 +6,6 @@ from repro.errors import SimulationError
 from repro.sim import (
     FifoLock,
     FilterStore,
-    PriorityResource,
     Resource,
     SerialQueue,
     Simulator,
@@ -84,57 +83,6 @@ def test_release_unknown_request_raises():
     res.release(req)
     with pytest.raises(SimulationError):
         res.release(req)
-
-
-def test_priority_resource_serves_low_value_first():
-    sim = Simulator()
-    res = PriorityResource(sim, capacity=1)
-    order = []
-
-    def holder():
-        req = res.request()
-        yield req
-        yield sim.timeout(10.0)
-        res.release(req)
-
-    def user(tag, prio):
-        yield sim.timeout(1.0)  # arrive after the holder
-        req = res.request(priority=prio)
-        yield req
-        order.append(tag)
-        res.release(req)
-
-    sim.process(holder())
-    sim.process(user("low-prio", 5))
-    sim.process(user("high-prio", 1))
-    sim.process(user("mid-prio", 3))
-    sim.run()
-    assert order == ["high-prio", "mid-prio", "low-prio"]
-
-
-def test_priority_ties_are_fifo():
-    sim = Simulator()
-    res = PriorityResource(sim, capacity=1)
-    order = []
-
-    def holder():
-        req = res.request()
-        yield req
-        yield sim.timeout(10.0)
-        res.release(req)
-
-    def user(tag):
-        yield sim.timeout(1.0)
-        req = res.request(priority=1)
-        yield req
-        order.append(tag)
-        res.release(req)
-
-    sim.process(holder())
-    for tag in range(4):
-        sim.process(user(tag))
-    sim.run()
-    assert order == [0, 1, 2, 3]
 
 
 def test_resource_utilization_accounting():
