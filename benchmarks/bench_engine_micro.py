@@ -9,8 +9,9 @@ every figure benchmark is built from:
   ``sim.timeout`` event;
 - ``event_ns_per_op``   — a succeed-driven Event wakeup (store/CQ style);
 - ``store_hop_ns_per_op`` — a put→get rendezvous through a ``Store``;
-- ``resource_grant_ns_per_op`` — an uncontended capacity-1
-  request/release.
+- ``lock_grant_ns_per_op`` — a contended capacity-1 ``FifoLock``: two
+  workers take turns, so every grant after the first is a release
+  handing the lock to a parked waiter.
 
 Writes ``results/BENCH_engine.json`` so the trajectory is visible across
 PRs.  Run directly (``python benchmarks/bench_engine_micro.py``) or via
@@ -24,7 +25,7 @@ import time
 
 from repro.bench_support import results_dir, scaled
 from repro.sim import Simulator
-from repro.sim.resources import Resource
+from repro.sim.resources import FifoLock
 from repro.sim.store import Store
 
 #: Operations per measurement (scaled by REPRO_BENCH_SCALE).
@@ -80,7 +81,7 @@ def bench_store_hops(n: int) -> float:
 
     def producer():
         for i in range(n):
-            yield store.put(i)
+            store.put(i)
             yield 1.0
 
     def consumer():
@@ -92,18 +93,20 @@ def bench_store_hops(n: int) -> float:
     return _ns_per_op(n, sim)
 
 
-def bench_resource_grants(n: int) -> float:
+def bench_lock_grants(n: int) -> float:
     sim = Simulator()
-    res = Resource(sim, capacity=1, name="micro")
+    lock = FifoLock(sim, "micro")
 
-    def worker():
-        for _ in range(n):
-            req = res.request()
-            yield req
+    def worker(grants):
+        for _ in range(grants):
+            wait = lock.acquire()
+            if wait is not None:
+                yield wait
             yield 1.0
-            res.release(req)
+            lock.release()
 
-    sim.process(worker())
+    sim.process(worker(n - n // 2))
+    sim.process(worker(n // 2))
     return _ns_per_op(n, sim)
 
 
@@ -115,7 +118,7 @@ def run_all(n: int | None = None) -> dict:
         "timeout_ns_per_op": bench_timeout_events(n),
         "event_ns_per_op": bench_event_wakeups(n),
         "store_hop_ns_per_op": bench_store_hops(n),
-        "resource_grant_ns_per_op": bench_resource_grants(n),
+        "lock_grant_ns_per_op": bench_lock_grants(n),
     }
 
 

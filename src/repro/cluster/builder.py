@@ -36,7 +36,6 @@ def build_cluster(
     sim: Simulator,
     system: SystemProfile,
     num_hosts: int,
-    chunk_bytes: Optional[int] = None,
     rx_contention: Union[str, RxContentionSpec] = "auto",
     congestion: CongestionSpec = "auto",
 ) -> tuple[Fabric, list[Host]]:
@@ -71,7 +70,6 @@ def build_cluster(
         sim,
         system.nic,
         propagation_ns=system.propagation_ns,
-        chunk_bytes=chunk_bytes,
         rx_contention=rx,
         cc=cc,
         name=f"fabric:{system.name}",
@@ -84,9 +82,7 @@ def build_cluster(
     return fabric, hosts
 
 
-def build_pair(
-    sim: Simulator, system: SystemProfile, chunk_bytes: Optional[int] = None
-) -> tuple[Fabric, Host, Host]:
+def build_pair(sim: Simulator, system: SystemProfile) -> tuple[Fabric, Host, Host]:
     """The paper's two-node testbed (back-to-back or one switch hop)."""
-    fabric, hosts = build_cluster(sim, system, 2, chunk_bytes=chunk_bytes)
+    fabric, hosts = build_cluster(sim, system, 2)
     return fabric, hosts[0], hosts[1]

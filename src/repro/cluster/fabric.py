@@ -99,7 +99,6 @@ class Fabric:
         profile: NicProfile,
         propagation_ns: float,
         loopback_latency_ns: float = 350.0,
-        chunk_bytes: Optional[int] = None,
         rx_contention: RxContentionSpec = None,
         cc: Optional[CcProfile] = None,
         name: str = "fabric",
@@ -108,9 +107,6 @@ class Fabric:
         self.profile = profile
         self.propagation_ns = propagation_ns
         self.loopback_latency_ns = loopback_latency_ns
-        #: Optional transmission granularity for fairness experiments: large
-        #: messages are chopped into chunks so flows interleave on the port.
-        self.chunk_bytes = chunk_bytes
         #: Receiver-side contention model (see module docstring); ``None``
         #: keeps the source-port-only semantics bit-identical to the seed.
         self.rx_contention = _normalize_rx_contention(rx_contention)
@@ -305,38 +301,13 @@ class Fabric:
             return
 
         port = self._tx_ports[src_host]
-        if self.chunk_bytes is None or nbytes <= self.chunk_bytes:
-            wait = port.acquire()
-            if wait is not None:
-                yield wait
-            try:
-                yield self.serialization_ns(nbytes)
-            finally:
-                port.release()
-        else:
-            # Chunked: the port is re-acquired per chunk so concurrent flows
-            # interleave instead of suffering whole-message head-of-line.
-            # Packet charges follow *cumulative* byte boundaries — a chunk
-            # pays for the packets its bytes complete — so the total packet
-            # count equals the unchunked ceil(nbytes/mtu) bit-exactly even
-            # when chunk_bytes is not an MTU multiple.
-            mtu = self.profile.mtu
-            per_packet_ns = self.profile.per_packet_ns
-            link_bw = self.profile.link_bw
-            sent = 0
-            packets_charged = 0
-            while sent < nbytes:
-                chunk = min(nbytes - sent, self.chunk_bytes)
-                sent += chunk
-                packets = max(1, math.ceil(sent / mtu)) - packets_charged
-                wait = port.acquire()
-                if wait is not None:
-                    yield wait
-                try:
-                    yield packets * per_packet_ns + chunk / link_bw
-                finally:
-                    port.release()
-                packets_charged += packets
+        wait = port.acquire()
+        if wait is not None:
+            yield wait
+        try:
+            yield self.serialization_ns(nbytes)
+        finally:
+            port.release()
 
         extra = 0.0
         faults = self.faults

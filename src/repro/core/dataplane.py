@@ -171,8 +171,7 @@ class Dataplane:
 
         The multiplexed analogue of :meth:`wait_cq` (POLL mode) for servers
         draining many QPs.  Built on ``Simulator.wait_any`` — one shared
-        waiter callback instead of an ``AnyOf`` condition object per loop
-        iteration, so a steady-state poll loop allocates nothing per wake.
+        waiter callback per loop iteration, no condition object.
         Reaps up to ``max_entries`` CQEs total, scanning ready CQs in the
         order given.
         """

@@ -1,7 +1,7 @@
 """PCIe bus between a host's memory and its NIC.
 
 Models DMA transfers as latency + bandwidth occupancy on a shared bus
-resource (a single NIC saturating the link never saturates x16 PCIe here,
+(a single NIC saturating the link never saturates x16 PCIe here,
 but contention between simultaneous DMA streams is still serialized at the
 configured bandwidth, which caps aggregate throughput realistically).
 """
@@ -13,7 +13,7 @@ from typing import TYPE_CHECKING, Generator
 from repro.errors import HardwareError
 from repro.hw.profiles import NicProfile
 from repro.sim.events import Event
-from repro.sim.resources import Resource
+from repro.sim.resources import FifoLock
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.engine import Simulator
@@ -28,7 +28,7 @@ class PcieBus:
         self.name = name
         # One transaction stream; concurrent DMAs queue (bandwidth sharing
         # approximated by serialization at full bandwidth).
-        self.res = Resource(sim, capacity=1, name=name)
+        self.lock = FifoLock(sim, name)
         self.bytes_read = 0
         self.bytes_written = 0
 
@@ -39,22 +39,24 @@ class PcieBus:
         """NIC reads ``nbytes`` from host memory (payload/WQE fetch)."""
         if nbytes < 0:
             raise HardwareError(f"negative DMA size: {nbytes}")
-        req = self.res.request()
-        yield req
+        wait = self.lock.acquire()
+        if wait is not None:
+            yield wait
         try:
             yield self.profile.dma_read_lat_ns + self._occupancy(nbytes)
             self.bytes_read += nbytes
         finally:
-            self.res.release(req)
+            self.lock.release()
 
     def dma_write(self, nbytes: int) -> Generator[Event, object, None]:
         """NIC writes ``nbytes`` into host memory (payload/CQE delivery)."""
         if nbytes < 0:
             raise HardwareError(f"negative DMA size: {nbytes}")
-        req = self.res.request()
-        yield req
+        wait = self.lock.acquire()
+        if wait is not None:
+            yield wait
         try:
             yield self.profile.dma_write_lat_ns + self._occupancy(nbytes)
             self.bytes_written += nbytes
         finally:
-            self.res.release(req)
+            self.lock.release()

@@ -29,7 +29,7 @@ from typing import TYPE_CHECKING, Generator, Optional
 from repro.errors import KernelError
 from repro.hw.cpu import Core
 from repro.kernel.netstack import NetstackProfile, Softirq
-from repro.sim.store import FilterStore, Store
+from repro.sim.store import Store
 from repro.verbs.wr import WireMessage
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -110,7 +110,7 @@ class IPoIBSocket:
         self.peer: Optional["IPoIBSocket"] = None
         self._accept_q: Store = Store(self.sim, name=f"sock{self.sock_id}.accept")
         #: Fully reassembled inbound messages: (src_host, nbytes, data).
-        self._rx_msgs: FilterStore = FilterStore(self.sim, name=f"sock{self.sock_id}.rx")
+        self._rx_msgs: Store = Store(self.sim, name=f"sock{self.sock_id}.rx")
         self._partial: dict[int, dict] = {}
         self._seq = itertools.count()
         # Credit-based flow control against the peer's receive buffer.
@@ -147,7 +147,7 @@ class IPoIBSocket:
         # One RTT of handshake, coarsely.
         yield 2 * self.device.host.fabric.propagation_ns
         established = self.sim.event(name=f"sock{self.sock_id}.established")
-        yield listener._accept_q.put((self, established))
+        listener._accept_q.put((self, established))
         yield established
 
     # -- data path ---------------------------------------------------------------------

@@ -10,7 +10,7 @@ The socket path pays, per message (paper §3, fig. 2a):
    CPU at a time per device queue), which is the aggregate-bandwidth choke
    point that makes IPoIB up to 2x slower in the paper's NPB runs.
 
-This module provides the constants and the per-host softirq resource;
+This module provides the constants and the per-host softirq lock;
 :mod:`repro.kernel.ipoib` builds the actual device and sockets on top.
 """
 
@@ -20,7 +20,7 @@ import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from repro.sim.resources import Resource
+from repro.sim.resources import FifoLock
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.engine import Simulator
@@ -64,18 +64,19 @@ class Softirq:
 
     def __init__(self, sim: "Simulator", host_id: int, rx_queues: int = 4):
         self.sim = sim
-        self.res = Resource(sim, capacity=max(1, rx_queues),
-                            name=f"softirq:h{host_id}")
+        self.lock = FifoLock(sim, f"softirq:h{host_id}",
+                             capacity=max(1, rx_queues))
         self.packets_processed = 0
         self.busy_ns = 0.0
 
     def process(self, work_ns: float, packets: int):
         """Generator: occupy the softirq context for ``work_ns``."""
-        req = self.res.request()
-        yield req
+        wait = self.lock.acquire()
+        if wait is not None:
+            yield wait
         try:
             yield work_ns
             self.packets_processed += packets
             self.busy_ns += work_ns
         finally:
-            self.res.release(req)
+            self.lock.release()

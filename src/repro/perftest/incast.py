@@ -51,7 +51,6 @@ class IncastConfig:
     rx_contention: bool = True
     #: Switch output-port buffer in bytes; ``None`` = unbounded (no drops).
     buffer_bytes: Optional[int] = None
-    chunk_bytes: Optional[int] = None
     #: End-to-end congestion control: "off" (default; bit-identical to the
     #: pre-CC model) or "dcqcn" (ECN marking + per-QP rate limiting — the
     #: fix for bounded-buffer congestion collapse).
@@ -64,6 +63,10 @@ class IncastConfig:
             raise ConfigError(
                 f"need at least one message per sender, got {self.msgs_per_sender}"
             )
+        if self.window < 1:
+            raise ConfigError(f"window must be >= 1, got {self.window}")
+        if self.size < 0:
+            raise ConfigError(f"message size must be >= 0, got {self.size}")
         if self.buffer_bytes is not None and \
                 self.buffer_bytes < self.size + HEADER_BYTES:
             raise ConfigError(
@@ -195,7 +198,7 @@ def build_incast(
           if config.rx_contention else False)
     fabric, hosts = build_cluster(
         sim, profile, config.senders + 1,
-        chunk_bytes=config.chunk_bytes, rx_contention=rx,
+        rx_contention=rx,
         congestion="off" if config.congestion == "off" else config.congestion,
     )
     buf_bytes = max(config.size, 4096)

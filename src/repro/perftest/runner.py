@@ -151,6 +151,10 @@ class PerftestConfig:
             raise ConfigError(f"op must be one of {OPS}, got {self.op!r}")
         if self.iters < 1:
             raise ConfigError(f"need at least one iteration, got iters={self.iters}")
+        if self.warmup < 0:
+            raise ConfigError(f"warmup must be >= 0, got warmup={self.warmup}")
+        if self.window < 1:
+            raise ConfigError(f"window must be >= 1, got window={self.window}")
         if self.transport not in TRANSPORTS:
             raise ConfigError(f"transport must be in {TRANSPORTS}")
         if self.transport == "UD" and self.op != "send":

@@ -2,23 +2,22 @@
 
 Enabled per-simulator with ``Simulator(sanitize=True)`` or globally with
 ``REPRO_SANITIZE=1`` in the environment.  When enabled the engine runs an
-instrumented copy of its dispatch loop and the resource, store, lock and
+instrumented copy of its dispatch loop and the store, lock and
 serial-queue primitives report their touches here; when disabled every
 hook site costs a single ``is None`` branch and the hot loop is
 byte-for-byte the optimized one.
 
 The three checks (rule ids continue the SIM lint pack):
 
-- **SIM101 — same-timestamp race.**  Touches of one resource, store,
-  lock or serial queue (and therefore of the cores, ports, NIC engines
-  and QP/CQ work queues built on them) are bucketed per
+- **SIM101 — same-timestamp race.**  Touches of one store, lock or
+  serial queue (and therefore of the cores, ports, buses, NIC engines
+  and socket queues built on them) are bucketed per
   ``(now, priority)``.  If, inside one bucket, two *different* event
   dispatches contend for the same object — one wins a slot/item inline
-  while another parks, two park on the same queue, or two ``try_get``
-  polls race for one item — then the winner is decided by heap-insertion
-  ``seq``.  That is deterministic, but it is exactly the fragile coupling
+  while another parks, or two park on the same queue — then the winner
+  is decided by heap-insertion ``seq``.  That is deterministic, but it is exactly the fragile coupling
   the determinism contract exists to keep out of model code: reordering
-  two unrelated ``put``/``request`` calls in a refactor silently changes
+  two unrelated ``put``/``acquire`` calls in a refactor silently changes
   results.  Both event descriptions are reported.
 - **SIM102 — RNG stream discipline.**  Every named stream must be drawn
   by a single component (call site); a stream shared by two components
@@ -189,7 +188,7 @@ class RuntimeSanitizer:
     # -- touch recording -------------------------------------------------------
 
     def note_touch(self, obj: object, label: str, op: str, contended: bool) -> None:
-        """Record one resource/store/lock/queue touch by the current dispatch."""
+        """Record one store/lock/queue touch by the current dispatch."""
         entry = self._touches.get(id(obj))
         if entry is None:
             entry = self._touches[id(obj)] = (label, [])

@@ -41,7 +41,7 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.verify.choice import Chooser
     from repro.verify.monitors import ProtocolMonitor
 from repro.sanitize.runtime import env_sanitize
-from repro.sim.events import NORMAL, AllOf, AnyOf, Event, Timeout
+from repro.sim.events import _PENDING, NORMAL, Event, Timeout
 from repro.sim.process import MiniProcess, Process, ProcessGenerator, _Resume
 from repro.sim.rng import RngRegistry
 from repro.sim.trace import Trace
@@ -195,26 +195,55 @@ class Simulator:
         """
         return MiniProcess(self, generator, name)
 
-    def all_of(self, events: Iterable[Event]) -> AllOf:
-        return AllOf(self, events)
+    def all_of(self, events: Iterable[Event], name: str = "") -> Event:
+        """Join: an event that succeeds once every member has succeeded.
 
-    def any_of(self, events: Iterable[Event]) -> AnyOf:
-        return AnyOf(self, events)
+        One shared counting callback, in the style of :meth:`wait_any`.
+        The join succeeds with ``None`` when the last member is processed,
+        at ``(now, NORMAL, seq)``; it fails with the first member failure,
+        and every failing member is defused.  Members already processed
+        count at once, so an empty or fully processed iterable succeeds at
+        the current instant.
+        """
+        members = tuple(events)
+        remaining = len(members)
+        out = Event(self, name=name)
+
+        def _member(ev: Event) -> None:
+            nonlocal remaining
+            if out._value is not _PENDING:
+                if not ev._ok:
+                    ev._defused = True
+                return
+            if not ev._ok:
+                ev._defused = True
+                out.fail(ev._value)  # type: ignore[arg-type]
+                return
+            remaining -= 1
+            if not remaining:
+                out.succeed()
+
+        if not members:
+            out.succeed()
+        for ev in members:
+            if ev.callbacks is None:
+                _member(ev)
+            else:
+                ev.callbacks.append(_member)
+        return out
 
     def wait_any(self, events: Iterable[Event], name: str = "") -> Event:
-        """First-of waiter without :class:`AnyOf`/``ConditionValue`` overhead.
+        """First-of waiter: one shared callback, no condition object.
 
         Returns an event that succeeds with the *first* sub-event to succeed
-        (the sub-event itself is the value) or fails with the first failure.
-        Unlike :class:`AnyOf` it allocates one shared callback instead of a
-        condition object, a sub-event tuple and a ``ConditionValue`` — the
-        allocation-free way to multiplex a poll loop over several queues.
-        An empty iterable succeeds immediately with ``None``.
+        (the sub-event itself is the value) or fails with the first failure
+        — the allocation-free way to multiplex a poll loop over several
+        queues.  An empty iterable succeeds immediately with ``None``.
         """
         out = Event(self, name=name)
 
         def _first(ev: Event) -> None:
-            if out._value is not _EVENT_PENDING:
+            if out._value is not _PENDING:
                 if not ev._ok:
                     ev._defused = True
                 return
@@ -517,11 +546,3 @@ class Simulator:
         if deadline != float("inf"):
             self._now = deadline
         return None
-
-    def run_until_idle(self) -> None:
-        """Drain every pending event (alias of ``run(None)`` for readability)."""
-        self.run(None)
-
-
-# Sentinel shared with events.py for the wait_any fast check.
-from repro.sim.events import _PENDING as _EVENT_PENDING  # noqa: E402

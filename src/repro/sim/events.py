@@ -10,7 +10,7 @@ is processed.
 from __future__ import annotations
 
 from heapq import heappush
-from typing import TYPE_CHECKING, Callable, Iterable, Optional
+from typing import TYPE_CHECKING, Callable, Optional
 
 from repro.errors import SimulationError
 
@@ -123,12 +123,6 @@ class Event:
 
     # -- misc ------------------------------------------------------------------
 
-    def __and__(self, other: "Event") -> "AllOf":
-        return AllOf(self.sim, [self, other])
-
-    def __or__(self, other: "Event") -> "AnyOf":
-        return AnyOf(self.sim, [self, other])
-
     def __repr__(self) -> str:
         label = f" {self.name!r}" if self.name else ""
         state = (
@@ -156,101 +150,3 @@ class Timeout(Event):
         self.delay = delay
         heappush(sim._queue, (sim._now + delay, NORMAL, sim._seq, self))
         sim._seq += 1
-
-
-class ConditionValue:
-    """Mapping-like result of a condition: events -> values, in wait order."""
-
-    __slots__ = ("events", "_lookup")
-
-    def __init__(self) -> None:
-        self.events: list[Event] = []
-        #: Lazily built set mirror of ``events`` for O(1) membership tests
-        #: (rebuilt if ``events`` was reassigned/extended since last lookup).
-        self._lookup: Optional[set[Event]] = None
-
-    def __getitem__(self, event: Event) -> object:
-        if event not in self:
-            raise KeyError(repr(event))
-        return event.value
-
-    def __contains__(self, event: Event) -> bool:
-        lookup = self._lookup
-        if lookup is None or len(lookup) != len(self.events):
-            lookup = self._lookup = set(self.events)
-        return event in lookup
-
-    def __iter__(self):
-        return iter(self.events)
-
-    def __len__(self) -> int:
-        return len(self.events)
-
-    def todict(self) -> dict[Event, object]:
-        return {e: e.value for e in self.events}
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"<ConditionValue {self.todict()!r}>"
-
-
-class Condition(Event):
-    """Composite event over a fixed set of sub-events.
-
-    Subclasses define :meth:`_satisfied`.  The condition fails as soon as any
-    sub-event fails (the sub-event is defused; its exception becomes the
-    condition's).
-    """
-
-    __slots__ = ("_events", "_count")
-
-    def __init__(self, sim: "Simulator", events: Iterable[Event], name: str = ""):
-        super().__init__(sim, name=name)
-        self._events = tuple(events)
-        self._count = 0
-        for event in self._events:
-            if event.sim is not sim:
-                raise SimulationError("condition spans multiple simulators")
-        if not self._events:
-            self.succeed(ConditionValue())
-            return
-        for event in self._events:
-            if event.processed:
-                self._check(event)
-            else:
-                event.callbacks.append(self._check)
-
-    def _satisfied(self, count: int, total: int) -> bool:
-        raise NotImplementedError
-
-    def _check(self, event: Event) -> None:
-        if self.triggered:
-            if not event._ok:
-                event.defuse()
-            return
-        if not event._ok:
-            event.defuse()
-            self.fail(event._value)  # type: ignore[arg-type]
-            return
-        self._count += 1
-        if self._satisfied(self._count, len(self._events)):
-            value = ConditionValue()
-            value.events = [e for e in self._events if e.processed and e._ok]
-            self.succeed(value)
-
-
-class AllOf(Condition):
-    """Triggered once *all* sub-events have succeeded."""
-
-    __slots__ = ()
-
-    def _satisfied(self, count: int, total: int) -> bool:
-        return count == total
-
-
-class AnyOf(Condition):
-    """Triggered once *any* sub-event has succeeded."""
-
-    __slots__ = ()
-
-    def _satisfied(self, count: int, total: int) -> bool:
-        return count >= 1

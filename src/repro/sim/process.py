@@ -231,11 +231,6 @@ class Process(Event, _Driver):
         self._pending = rec
 
     @property
-    def is_alive(self) -> bool:
-        """True until the wrapped generator has terminated."""
-        return not self.triggered
-
-    @property
     def target(self) -> Optional[Event]:
         """The event this process currently waits on (None while running)."""
         return self._target

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Generator, Optional
 
 from repro.errors import HardwareError
-from repro.sim.resources import Resource
+from repro.sim.resources import FifoLock
 from repro.sim.store import Store
 from repro.units import gib_per_s, us
 
@@ -112,11 +112,11 @@ class NvmeDevice:
         self.sim = sim
         self.profile = profile or NvmeProfile()
         self.name = name
-        self._channels = Resource(sim, capacity=self.profile.channels,
-                                  name=f"{name}.chan")
+        self._channels = FifoLock(sim, f"{name}.chan",
+                                  capacity=self.profile.channels)
         #: Shared data bus: aggregate device bandwidth (channels give
         #: latency parallelism, not bandwidth multiplication).
-        self._bus = Resource(sim, capacity=1, name=f"{name}.bus")
+        self._bus = FifoLock(sim, f"{name}.bus")
         self._fetchq: Store = Store(sim, name=f"{name}.fetch")
         self._cmd_name = f"{name}.cmd"
         self.commands_done = 0
@@ -153,20 +153,22 @@ class NvmeDevice:
             self.sim.spawn(self._execute(qp, cmd), name=self._cmd_name)
 
     def _execute(self, qp: StorageQueuePair, cmd: IoCommand) -> Generator["Event", object, None]:
-        req = self._channels.request()
-        yield req
+        wait = self._channels.acquire()
+        if wait is not None:
+            yield wait
         try:
             media = (self.profile.read_latency_ns if cmd.op == "read"
                      else self.profile.write_latency_ns)
             yield media
-            bus = self._bus.request()
-            yield bus
+            wait = self._bus.acquire()
+            if wait is not None:
+                yield wait
             try:
                 yield cmd.nbytes / self.profile.bandwidth
             finally:
-                self._bus.release(bus)
+                self._bus.release()
         finally:
-            self._channels.release(req)
+            self._channels.release()
         yield self.profile.cqe_ns
         self.commands_done += 1
         self.bytes_done += cmd.nbytes

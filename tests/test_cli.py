@@ -277,6 +277,21 @@ def test_incast_buffer_below_one_message_rejected(capsys):
     assert err.count("\n") == 1 and "cannot hold one 65536 B message" in err
 
 
+@pytest.mark.parametrize("flag, value, message", [
+    # Used to print 0.00 Gbit/s with 0 drops and exit 0.
+    ("--window", "0", "window must be >= 1, got 0"),
+    # Used to die with a VerbsError traceback.
+    ("--size", "-1", "message size must be >= 0, got -1"),
+])
+def test_incast_degenerate_window_and_size_rejected(capsys, flag, value, message):
+    from repro.cli import run
+
+    assert run(["incast", "--senders", "2", "--msgs", "2", flag, value]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"repro: error: {message}\n"
+
+
 @pytest.mark.parametrize("scale, shown", [("-1", "-1.0"), ("0", "0.0"), ("nan", "nan")])
 def test_npb_degenerate_iter_scale_rejected_as_one_line(capsys, scale, shown):
     from repro.cli import run

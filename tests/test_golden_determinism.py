@@ -17,6 +17,10 @@ Properties the perf work must never break:
    completion at admission (rather than when its predecessor completes)
    allocates its heap sequence number too early and flips such ties;
    these points catch it.
+5. **Kernel and storage locks.**  Three IPoIB NPB points reach the
+   softirq lock and the socket receive store; six NVMe throughput points
+   reach the device's channel lock (32 slots) and its bus lock.  No
+   other golden touches these multi-slot servers.
 """
 
 import pytest
@@ -61,6 +65,28 @@ GOLDEN_SYSTEM_A = {
 NPB_GOLDEN = {
     "CG": ("bypass", 0.02, 11, 8992785.766219512),
     "MG": ("cord", 0.1, 717444363, 9140579.858520944),
+}
+
+
+#: Exact IPoIB NPB class B elapsed times, 16 ranks on 4 system-A hosts at
+#: seed 11: kernel -> (iter_scale, elapsed_ns).
+NPB_IPOIB_GOLDEN = {
+    "CG": (0.02, 9643330.12355747),
+    "IS": (0.1, 13273463.55150522),
+    "MG": (0.1, 9519970.181698218),
+}
+
+
+#: Exact NVMe read throughput (bytes/ns) for 256 reads at queue depth 32
+#: (the blocking ``blk`` path runs one IO at a time), seed 3, system L:
+#: (dataplane, block bytes) -> throughput.
+NVME_GOLDEN = {
+    ("spdk", 4096): 6.625742298591944,
+    ("spdk", 65536): 6.85602502169681,
+    ("cord", 4096): 6.595319906930805,
+    ("cord", 65536): 6.853980375285013,
+    ("blk", 4096): 0.34244495395042657,
+    ("blk", 65536): 3.135432269241524,
 }
 
 
@@ -109,6 +135,67 @@ def test_golden_values_npb_multi_host(kernel):
     assert repr(got) == repr(want), (
         f"NPB {kernel}/{transport}: got {got!r}, golden {want!r} — a "
         "same-timestamp tie changed order"
+    )
+
+
+@pytest.mark.parametrize("kernel", sorted(NPB_IPOIB_GOLDEN))
+def test_golden_values_npb_ipoib(kernel):
+    from repro.npb import NpbConfig
+    from repro.npb.runner import run_npb
+
+    iter_scale, want = NPB_IPOIB_GOLDEN[kernel]
+    cfg = NpbConfig(name=kernel, klass="B", ranks=16, iter_scale=iter_scale)
+    got = run_npb(cfg, transport="ipoib", system="A", hosts_n=4,
+                  seed=11).elapsed_ns
+    assert repr(got) == repr(want), (
+        f"NPB {kernel}/ipoib: got {got!r}, golden {want!r}"
+    )
+
+
+def _nvme_throughput(kind: str, nbytes: int, total: int = 256,
+                     depth: int = 32) -> float:
+    from repro.hw.cpu import Core
+    from repro.hw.profiles import SYSTEM_L
+    from repro.sim import Simulator
+    from repro.storage import (
+        CordStorageDataplane,
+        KernelBlockDataplane,
+        NvmeDevice,
+        SpdkDataplane,
+    )
+    from repro.storage.dataplane import make_command
+
+    sim = Simulator(seed=3)
+    device = NvmeDevice(sim)
+    core = Core(sim, SYSTEM_L)
+    kinds = {"spdk": SpdkDataplane, "cord": CordStorageDataplane,
+             "blk": KernelBlockDataplane}
+    dp = kinds[kind](device, core, SYSTEM_L)
+
+    def main():
+        t0 = sim.now
+        if kind == "blk":
+            for i in range(total):
+                yield from dp.run_io(make_command("read", i, nbytes))
+        else:
+            submitted = done = 0
+            while done < total:
+                while submitted < total and dp.qp.outstanding < depth:
+                    yield from dp.submit(make_command("read", submitted, nbytes))
+                    submitted += 1
+                cmds = yield from dp.wait()
+                done += len(cmds)
+        return total * nbytes / (sim.now - t0)
+
+    return sim.run(sim.process(main()))
+
+
+@pytest.mark.parametrize("kind,nbytes", sorted(NVME_GOLDEN))
+def test_golden_values_nvme_throughput(kind, nbytes):
+    got = _nvme_throughput(kind, nbytes)
+    want = NVME_GOLDEN[(kind, nbytes)]
+    assert repr(got) == repr(want), (
+        f"NVMe {kind}/{nbytes}: got {got!r}, golden {want!r}"
     )
 
 

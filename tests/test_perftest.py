@@ -30,6 +30,20 @@ def test_config_rejects_fewer_than_one_iteration(iters):
     assert PerftestConfig(iters=1).iters == 1
 
 
+@pytest.mark.parametrize("window", [0, -3])
+def test_config_rejects_a_window_below_one(window):
+    # Used to die in run_bw with "stop event will never be triggered".
+    with pytest.raises(ConfigError, match="window must be >= 1"):
+        PerftestConfig(window=window)
+    assert run_bw(PerftestConfig(window=1, iters=4, warmup=1), 64).gbit_per_s > 0
+
+
+def test_config_rejects_a_negative_warmup():
+    # Used to report 0.0 Gbit/s over 0.0 ns without complaint.
+    with pytest.raises(ConfigError, match="warmup must be >= 0"):
+        PerftestConfig(warmup=-1)
+
+
 def test_send_lat_reasonable_and_monotonic_in_size():
     cfg = PerftestConfig(iters=60, warmup=10)
     small = run_lat(cfg, 64)

@@ -1,11 +1,9 @@
 """Property-based tests (hypothesis) on core invariants."""
 
-import math
-
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sim import FilterStore, Resource, Simulator, Store
+from repro.sim import FifoLock, Simulator, Store
 from repro.sim.rng import lognormal_jitter
 from repro.core.policies import TokenBucketQos
 from repro.core.policy import OpContext
@@ -60,7 +58,8 @@ def test_store_preserves_fifo(items):
 
     def producer():
         for item in items:
-            yield store.put(item)
+            store.put(item)
+            yield 0.0
 
     def consumer():
         for _ in items:
@@ -73,24 +72,6 @@ def test_store_preserves_fifo(items):
     assert got == items
 
 
-@given(st.lists(st.integers(min_value=0, max_value=9), min_size=1, max_size=40),
-       st.integers(min_value=0, max_value=9))
-def test_filter_store_returns_only_matching(items, wanted):
-    sim = Simulator()
-    store = FilterStore(sim)
-    for item in items:
-        store.put(item)
-    sim.run()
-    got = []
-    while True:
-        item = store.try_get(lambda x: x == wanted)
-        if item is None:
-            break
-        got.append(item)
-    assert got == [i for i in items if i == wanted]
-    assert list(store.items) == [i for i in items if i != wanted]
-
-
 # -- resources --------------------------------------------------------------------------
 
 
@@ -99,21 +80,22 @@ def test_filter_store_returns_only_matching(items, wanted):
                 min_size=1, max_size=30))
 def test_resource_never_exceeds_capacity(capacity, holds):
     sim = Simulator()
-    res = Resource(sim, capacity=capacity)
+    lock = FifoLock(sim, capacity=capacity)
     max_seen = [0]
 
     def user(hold):
-        req = res.request()
-        yield req
-        max_seen[0] = max(max_seen[0], res.count)
+        wait = lock.acquire()
+        if wait is not None:
+            yield wait
+        max_seen[0] = max(max_seen[0], lock.held)
         yield sim.timeout(hold)
-        res.release(req)
+        lock.release()
 
     for hold in holds:
         sim.process(user(hold))
     sim.run()
     assert max_seen[0] <= capacity
-    assert res.count == 0
+    assert lock.held == 0
 
 
 # -- rng ------------------------------------------------------------------------------

@@ -7,7 +7,7 @@ import pytest
 from repro.errors import SimulationError
 from repro.sanitize import drain_global_findings, findings_of
 from repro.sanitize.runtime import GLOBAL_FINDINGS, env_sanitize
-from repro.sim import Resource, SerialQueue, Simulator, Store
+from repro.sim import FifoLock, SerialQueue, Simulator, Store
 from repro.sim.engine import _Callback
 
 
@@ -52,14 +52,15 @@ def test_findings_of_unsanitized_sim_is_empty():
 def _two_requesters(stagger=0.0, chooser=None):
     sim = Simulator(sanitize=True)
     sim.attach_chooser(chooser)
-    core = Resource(sim, capacity=1, name="core0")
+    core = FifoLock(sim, "core0", capacity=1)
 
     def worker(delay):
         yield sim.timeout(delay)
-        req = core.request()
-        yield req
+        wait = core.acquire()
+        if wait is not None:
+            yield wait
         yield sim.timeout(5.0)
-        core.release(req)
+        core.release()
 
     sim.process(worker(10.0), name="proc_a")
     sim.process(worker(10.0 + stagger), name="proc_b")
@@ -71,10 +72,10 @@ def test_resource_race_at_same_timestamp_names_both_events():
     findings = _two_requesters(stagger=0.0)
     assert _rules(findings) == ["SIM101"]
     msg = findings[0].message
-    assert "resource 'core0'" in msg
+    assert "lock 'core0'" in msg
     assert "t=10.0" in msg
     assert "resume:proc_a" in msg and "resume:proc_b" in msg
-    assert "`request`" in msg
+    assert "`acquire`" in msg
     assert findings[0].source == "runtime"
 
 
@@ -279,7 +280,7 @@ def test_past_dispatch_recorded_before_engine_raises():
 def test_sanitized_run_is_bit_identical_to_unsanitized():
     def measure(sanitize):
         sim = Simulator(seed=7, sanitize=sanitize)
-        core = Resource(sim, capacity=2, name="core")
+        core = FifoLock(sim, "core", capacity=2)
         queue = Store(sim, name="q")
         done = []
 
@@ -287,16 +288,17 @@ def test_sanitized_run_is_bit_identical_to_unsanitized():
             rng = sim.rng.stream("producer")
             for i in range(50):
                 yield sim.timeout(float(rng.integers(1, 9)))
-                yield queue.put(i)
+                queue.put(i)
 
         def consumer():
             rng = sim.rng.stream("consumer")
             while len(done) < 50:
                 item = yield queue.get()
-                req = core.request()
-                yield req
+                wait = core.acquire()
+                if wait is not None:
+                    yield wait
                 yield sim.timeout(float(rng.integers(1, 5)))
-                core.release(req)
+                core.release()
                 done.append((sim.now, item))
 
         sim.process(producer(), name="prod")

@@ -402,10 +402,8 @@ def test_any_of_returns_first():
     def proc():
         t1 = sim.timeout(10.0, value="fast")
         t2 = sim.timeout(20.0, value="slow")
-        result = yield t1 | t2
-        assert t1 in result
-        assert t2 not in result
-        return result[t1], sim.now
+        first = yield sim.wait_any([t1, t2])
+        return first.value, sim.now
 
     assert sim.run(sim.process(proc())) == ("fast", 10.0)
 
@@ -416,20 +414,74 @@ def test_all_of_waits_for_all():
     def proc():
         t1 = sim.timeout(10.0, value="a")
         t2 = sim.timeout(20.0, value="b")
-        result = yield t1 & t2
-        return sorted(result.todict().values()), sim.now
+        yield sim.all_of([t1, t2])
+        return t1.processed and t2.processed, sim.now
 
-    assert sim.run(sim.process(proc())) == (["a", "b"], 20.0)
+    assert sim.run(sim.process(proc())) == (True, 20.0)
 
 
 def test_all_of_empty_fires_immediately():
     sim = Simulator()
 
     def proc():
+        yield sim.timeout(5.0)
         result = yield sim.all_of([])
-        return len(result)
+        return result, sim.now
 
-    assert sim.run(sim.process(proc())) == 0
+    assert sim.run(sim.process(proc())) == (None, 5.0)
+
+
+#: ``(outcome, waiter, now, next seq)`` log and final seq of
+#: :func:`_all_of_log` with the ``AllOf`` condition event that
+#: ``Simulator.all_of`` used to build: it succeeded at the last member's
+#: dispatch, ``(now, NORMAL, seq)``, and failed on the first failing
+#: member.
+ALL_OF_LOG = ([("main", "-", 0.0, 21), ("ok", "empty", 0.0, 22),
+               ("ok", "processed", 0.0, 23), ("ok", "pending", 2.0, 27),
+               ("fail", "failing", 2.0, 29), ("ok", "mixed", 3.0, 31)], 34)
+
+
+def _all_of_log():
+    """``(outcome, waiter, now, next seq)`` as each ``all_of`` waiter resumes."""
+    sim = Simulator()
+    log = []
+
+    def waiter(tag, members):
+        try:
+            yield sim.all_of(members)
+        except KeyError:
+            log.append(("fail", tag, sim.now, sim._seq))
+        else:
+            log.append(("ok", tag, sim.now, sim._seq))
+
+    def fail_at(delay, event):
+        yield delay
+        event.fail(KeyError(delay))
+
+    def main():
+        done, also_done = sim.timeout(0.0), sim.timeout(0.0)
+        yield done
+        bad, worse = sim.event(), sim.event()
+        sim.process(fail_at(2.0, bad))
+        sim.process(fail_at(4.0, worse))
+        sim.process(waiter("empty", []))
+        sim.process(waiter("processed", [done, also_done]))
+        sim.process(waiter("mixed", [done, sim.timeout(3.0)]))
+        sim.process(waiter("pending", [sim.timeout(2.0), sim.timeout(2.0),
+                                       sim.timeout(1.0)]))
+        # Fails on ``bad``; ``worse`` fails later and is defused too.
+        sim.process(waiter("failing", [sim.timeout(1.0), bad, worse,
+                                       sim.timeout(5.0)]))
+        yield 0.0
+        log.append(("main", "-", sim.now, sim._seq))
+
+    sim.process(main())
+    sim.run()
+    return log, sim._seq
+
+
+def test_all_of_pushes_the_same_heap_records_as_the_condition_event():
+    assert _all_of_log() == ALL_OF_LOG
 
 
 def test_condition_fails_if_member_fails():

@@ -3,102 +3,43 @@
 import pytest
 
 from repro.errors import SimulationError
-from repro.sim import (
-    FifoLock,
-    FilterStore,
-    Resource,
-    SerialQueue,
-    Simulator,
-    Store,
-)
+from repro.sim import FifoLock, SerialQueue, Simulator, Store
 
 
 def test_resource_grants_up_to_capacity():
     sim = Simulator()
-    res = Resource(sim, capacity=2)
+    lock = FifoLock(sim, capacity=2)
     grants = []
 
     def user(tag, hold):
-        req = res.request()
-        yield req
+        wait = lock.acquire()
+        if wait is not None:
+            yield wait
         grants.append((tag, sim.now))
         yield sim.timeout(hold)
-        res.release(req)
+        lock.release()
 
     for tag in range(4):
         sim.process(user(tag, 10.0))
     sim.run()
     assert grants == [(0, 0.0), (1, 0.0), (2, 10.0), (3, 10.0)]
+    assert lock.held == 0 and not lock.busy
 
 
 def test_resource_capacity_validation():
     sim = Simulator()
     with pytest.raises(SimulationError):
-        Resource(sim, capacity=0)
-
-
-def test_resource_context_manager_releases():
-    sim = Simulator()
-    res = Resource(sim, capacity=1)
-    times = []
-
-    def user():
-        with res.request() as req:
-            yield req
-            times.append(sim.now)
-            yield sim.timeout(5.0)
-
-    sim.process(user())
-    sim.process(user())
-    sim.run()
-    assert times == [0.0, 5.0]
-    assert res.count == 0
-
-
-def test_release_of_queued_request_cancels_it():
-    sim = Simulator()
-    res = Resource(sim, capacity=1)
-
-    def holder():
-        req = res.request()
-        yield req
-        yield sim.timeout(100.0)
-        res.release(req)
-
-    def impatient():
-        req = res.request()
-        yield sim.timeout(10.0)
-        res.release(req)  # give up before the grant
-        return "gave-up"
-
-    sim.process(holder())
-    p = sim.process(impatient())
-    assert sim.run(p) == "gave-up"
+        FifoLock(sim, capacity=0)
 
 
 def test_release_unknown_request_raises():
     sim = Simulator()
-    res = Resource(sim, capacity=1)
-    req = res.request()
-    res.release(req)
+    lock = FifoLock(sim, capacity=2)
+    assert lock.acquire() is None
+    assert not lock.busy  # one of two slots still free
+    lock.release()
     with pytest.raises(SimulationError):
-        res.release(req)
-
-
-def test_resource_utilization_accounting():
-    sim = Simulator()
-    res = Resource(sim, capacity=1)
-
-    def user():
-        req = res.request()
-        yield req
-        yield sim.timeout(50.0)
-        res.release(req)
-        yield sim.timeout(50.0)
-
-    sim.process(user())
-    sim.run()
-    assert res.utilization() == pytest.approx(0.5)
+        lock.release()
 
 
 def test_store_fifo_order():
@@ -108,7 +49,7 @@ def test_store_fifo_order():
 
     def producer():
         for i in range(3):
-            yield store.put(i)
+            store.put(i)
             yield sim.timeout(1.0)
 
     def consumer():
@@ -132,112 +73,56 @@ def test_store_get_blocks_until_put():
 
     def producer():
         yield sim.timeout(25.0)
-        yield store.put("x")
+        store.put("x")
 
     p = sim.process(consumer())
     sim.process(producer())
     assert sim.run(p) == ("x", 25.0)
 
 
-def test_bounded_store_blocks_put():
-    sim = Simulator()
-    store = Store(sim, capacity=1)
-    done = []
-
-    def producer():
-        yield store.put("a")
-        done.append(("a", sim.now))
-        yield store.put("b")
-        done.append(("b", sim.now))
-
-    def consumer():
-        yield sim.timeout(10.0)
-        yield store.get()
-
-    sim.process(producer())
-    sim.process(consumer())
-    sim.run()
-    assert done == [("a", 0.0), ("b", 10.0)]
-
-
-def test_store_try_get():
-    sim = Simulator()
-    store = Store(sim)
-    assert store.try_get() is None
-    store.put("a")
-    sim.run()
-    assert store.try_get() == "a"
-    assert store.try_get() is None
-
-
-def test_filter_store_matches_predicate():
-    sim = Simulator()
-    store = FilterStore(sim)
-    got = []
-
-    def consumer():
-        item = yield store.get(lambda x: x % 2 == 0)
-        got.append(item)
-
-    def producer():
-        for i in (1, 3, 4, 5):
-            yield store.put(i)
-
-    sim.process(consumer())
-    sim.process(producer())
-    sim.run()
-    assert got == [4]
-    assert list(store.items) == [1, 3, 5]
-
-
-def test_filter_store_try_get_with_filter():
-    sim = Simulator()
-    store = FilterStore(sim)
-    for i in range(5):
-        store.put(i)
-    sim.run()
-    assert store.try_get(lambda x: x > 2) == 3
-    assert store.try_get(lambda x: x > 10) is None
-
-
-def test_store_high_water_mark():
-    sim = Simulator()
-    store = Store(sim)
-    for i in range(7):
-        store.put(i)
-    sim.run()
-    assert store.max_occupancy == 7
-
-
-# -- capacity-1 serial servers: same heap keys as the generic machinery -----------
+# -- serial servers: same heap keys as the event-per-request machinery ------------
 
 #: (start time, hold) per user: same-instant ties, zero holds, a queue
 #: that drains and refills.
 _USERS = [(0.0, 5.0), (0.0, 0.0), (0.0, 3.0), (2.0, 1.0), (8.0, 0.0),
           (8.0, 2.0), (20.0, 1.0)]
 
+#: ``(event, tag, now, next seq)`` log and final seq of ``_USERS`` on the
+#: event-per-request ``Resource`` this lock replaced, by capacity.  Its
+#: grant was a request event (born processed when a slot was free) and a
+#: release succeeded the oldest queued request at ``(now, NORMAL, seq)``.
+RESOURCE_LOG = {
+    1: ([("grant", 0, 0.0, 14), ("release", 0, 5.0, 16),
+         ("grant", 1, 5.0, 17), ("release", 1, 5.0, 20),
+         ("grant", 2, 5.0, 21), ("release", 2, 8.0, 24),
+         ("grant", 3, 8.0, 25), ("release", 3, 9.0, 28),
+         ("grant", 4, 9.0, 29), ("release", 4, 9.0, 32),
+         ("grant", 5, 9.0, 33), ("release", 5, 11.0, 35),
+         ("grant", 6, 20.0, 37), ("release", 6, 21.0, 38)], 40),
+    2: ([("grant", 0, 0.0, 14), ("grant", 1, 0.0, 15),
+         ("release", 1, 0.0, 17), ("grant", 2, 0.0, 18),
+         ("release", 2, 3.0, 21), ("grant", 3, 3.0, 22),
+         ("release", 3, 4.0, 24), ("release", 0, 5.0, 26),
+         ("grant", 4, 8.0, 28), ("grant", 5, 8.0, 29),
+         ("release", 4, 8.0, 30), ("release", 5, 10.0, 32),
+         ("grant", 6, 20.0, 34), ("release", 6, 21.0, 35)], 37),
+}
 
-def _lock_log(use_lock):
+
+def _lock_log(capacity):
     """Grant/release log of ``_USERS`` with ``(tag, now, next seq)``."""
     sim = Simulator()
-    res = FifoLock(sim, "core") if use_lock else Resource(sim, 1, "core")
+    lock = FifoLock(sim, "core", capacity=capacity)
     log = []
 
     def user(tag, start, hold):
         yield start
-        if use_lock:
-            wait = res.acquire()
-            if wait is not None:
-                yield wait
-        else:
-            req = res.request()
-            yield req
+        wait = lock.acquire()
+        if wait is not None:
+            yield wait
         log.append(("grant", tag, sim.now, sim._seq))
         yield hold
-        if use_lock:
-            res.release()
-        else:
-            res.release(req)
+        lock.release()
         log.append(("release", tag, sim.now, sim._seq))
         yield 0.0  # work after the release competes with the handoff
 
@@ -248,7 +133,8 @@ def _lock_log(use_lock):
 
 
 def test_fifo_lock_pushes_the_same_heap_records_as_resource():
-    assert _lock_log(use_lock=True) == _lock_log(use_lock=False)
+    for capacity, want in RESOURCE_LOG.items():
+        assert _lock_log(capacity) == want, f"capacity {capacity}"
 
 
 def test_fifo_lock_release_when_free_raises():
