@@ -111,7 +111,8 @@ def send_bw(
             posted += 1
         received = 0
         measured = 0
-        t_start = None
+        # No warmup: the window opens before the first post.
+        t_start = None if warmup else sim.now
         while received < total:
             if is_ud and tx_done.processed and len(receiver.recv_cq) == 0:
                 # UD is lossy: the sender may have outrun us and some
@@ -244,7 +245,8 @@ def _one_sided_bw(
     inflight = 0
     unsignaled = 0
     completed = 0
-    t_start = None
+    # No warmup: the window opens before the first post.
+    t_start = None if warmup else sim.now
     completed_at_mark = 0
     loop_ns = initiator.host.system.cpu.loop_overhead_ns
     while completed < total:

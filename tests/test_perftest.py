@@ -44,6 +44,37 @@ def test_config_rejects_a_negative_warmup():
         PerftestConfig(warmup=-1)
 
 
+#: ``(op, window, iters) -> (measured iters, duration_ns)`` with
+#: ``warmup=1`` at 64 B.  One-sided ops start their window at the
+#: retirement that crosses the warmup, so a sparse-signaling window of 16
+#: measures 33 of 40.
+WARMUP_ONE = {
+    ("send", 1, 4): (4, 8285.259797014296),
+    ("send", 16, 40): (40, 10613.072919394588),
+    ("write", 1, 4): (4, 7485.259797014296),
+    ("write", 16, 40): (33, 10130.673731338233),
+    ("read", 1, 4): (4, 9771.200000000186),
+    ("read", 16, 40): (33, 10257.800000000047),
+}
+
+
+@pytest.mark.parametrize("key", sorted(WARMUP_ONE))
+def test_bw_with_one_warmup_iteration_is_pinned(key):
+    op, window, iters = key
+    r = run_bw(PerftestConfig(op=op, window=window, iters=iters, warmup=1), 64)
+    assert (r.iters, r.duration_ns) == WARMUP_ONE[key]
+
+
+@pytest.mark.parametrize("op", ["send", "write", "read"])
+@pytest.mark.parametrize("window,iters", [(1, 4), (16, 40)])
+def test_bw_without_warmup_measures_every_iteration(op, window, iters):
+    # Used to report 0.0 ns for send and iters - 1 for write/read: the
+    # window opened at the first arrival instead of before the first post.
+    r = run_bw(PerftestConfig(op=op, window=window, iters=iters, warmup=0), 64)
+    assert r.iters == iters
+    assert r.duration_ns > 0 and r.gbit_per_s > 0
+
+
 def test_send_lat_reasonable_and_monotonic_in_size():
     cfg = PerftestConfig(iters=60, warmup=10)
     small = run_lat(cfg, 64)
