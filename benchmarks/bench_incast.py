@@ -114,129 +114,145 @@ def _entry(r) -> dict:
     }
 
 
-def _record(results, legacy_r, bounded_r, cc_ref_r, cc_off_r, cc_on_r) -> None:
+def _document(results, legacy_r, bounded_r, cc_off_r, cc_on_r) -> dict:
+    """The ``BENCH_incast.json`` record of one sweep."""
+    it = iter(results)
+    sweep = {label: [_entry(next(it)) for _n in SENDERS] for label, _kind in PLANES}
+    return {
+        "system": SYSTEM,
+        "link_gbit": to_gbit_per_s(get_profile(SYSTEM).nic.link_bw),
+        "scale": bench_scale(),
+        "sweep": sweep,
+        "legacy_rx_off": _entry(legacy_r),
+        "bounded_buffer": _entry(bounded_r),
+        # The congestion-collapse fix at N=16: unbounded reference (the
+        # bypass sweep point), bounded CC-off, bounded DCQCN.
+        "congestion": {
+            "reference": sweep["BP"][SENDERS.index(16)],
+            "cc_off": _entry(cc_off_r),
+            "dcqcn": _entry(cc_on_r),
+        },
+    }
+
+
+def _record(doc: dict) -> None:
     path = _incast_json_path()
     if bench_scale() < 1.0 and not os.environ.get(INCAST_JSON_ENV, "").strip():
         print(f"[bench] not recording incast sweep at scale {bench_scale():g} "
               f"into the committed {path} (set {INCAST_JSON_ENV} to record "
               "smoke runs)")
         return
-    link_gbit = to_gbit_per_s(get_profile(SYSTEM).nic.link_bw)
-    doc = {
-        "system": SYSTEM,
-        "link_gbit": link_gbit,
-        "scale": bench_scale(),
-        "sweep": {},
-        "legacy_rx_off": _entry(legacy_r),
-        "bounded_buffer": _entry(bounded_r),
-        # The congestion-collapse fix at N=16: unbounded reference (the
-        # bypass sweep point), bounded CC-off, bounded DCQCN.
-        "congestion": {
-            "reference": _entry(cc_ref_r),
-            "cc_off": _entry(cc_off_r),
-            "dcqcn": _entry(cc_on_r),
-        },
-    }
-    it = iter(results)
-    for label, _kind in PLANES:
-        doc["sweep"][label] = [_entry(next(it)) for _n in SENDERS]
     os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
     with open(path, "w") as fh:
         fh.write(json.dumps(doc, indent=2, sort_keys=True) + "\n")
     print(f"[bench] recorded incast sweep -> {path}")
 
 
-def _report(points, results, legacy_r, bounded_r, cc_off_r, cc_on_r):
-    link_gbit = to_gbit_per_s(get_profile(SYSTEM).nic.link_bw)
-    agg = SweepTable(f"Incast: aggregate receive rate, {SIZE // 1024} KiB "
-                     "writes (Gbit/s)", "N")
-    flow = SweepTable("Incast: mean per-flow goodput (Gbit/s)", "N")
-    it = iter(results)
-    by_label: dict[str, list] = {}
-    for label, _kind in PLANES:
-        sa = agg.new_series(label)
-        sf = flow.new_series(label)
-        rs = [next(it) for _n in SENDERS]
-        by_label[label] = rs
-        for n, r in zip(SENDERS, rs):
-            sa.add(str(n), r.aggregate_gbit)
-            sf.add(str(n), r.per_flow_mean_gbit)
-
-    parts = []
-    for t in (agg, flow):
-        h, r = t.rows()
-        parts.append(format_table(h, r, t.title))
-    parts.append(
-        f"legacy fabric (rx_contention off), N=8: "
-        f"{legacy_r.aggregate_gbit:.1f} Gbit/s aggregate "
-        f"(link is {link_gbit:.0f} Gbit/s)\n"
-        f"bounded buffer ({BOUNDED_BUFFER // 1024} KiB), N=8: "
-        f"{bounded_r.aggregate_gbit:.1f} Gbit/s, "
-        f"{bounded_r.messages_dropped} drops, "
-        f"{bounded_r.retransmits} retransmits"
-    )
-    cc_ref_r = by_label["BP"][SENDERS.index(16)]
-    parts.append(
-        f"congestion control, N=16, bounded {BOUNDED_BUFFER // 1024} KiB:\n"
-        f"  unbounded reference: {cc_ref_r.aggregate_gbit:.1f} Gbit/s\n"
-        f"  CC off:  {cc_off_r.aggregate_gbit:.1f} Gbit/s, "
-        f"{cc_off_r.messages_dropped} drops, "
-        f"{cc_off_r.failed_msgs} failed msgs\n"
-        f"  DCQCN:   {cc_on_r.aggregate_gbit:.1f} Gbit/s "
-        f"({cc_on_r.aggregate_gbit / cc_ref_r.aggregate_gbit:.0%} of "
-        f"reference), {cc_on_r.messages_dropped} drops "
-        f"({cc_off_r.messages_dropped / max(cc_on_r.messages_dropped, 1):.0f}x "
-        f"fewer), {cc_on_r.ecn_marked} ECN marks, {cc_on_r.cnps} CNPs"
-    )
-    text = "\n\n".join(parts)
-
+def _checks(doc: dict) -> list:
+    link_gbit = doc["link_gbit"]
     checks = []
     for label, _kind in PLANES:
-        rs = by_label[label]
-        worst = max(r.aggregate_gbit for r in rs)
+        rs = doc["sweep"][label]
+        worst = max(r["aggregate_gbit"] for r in rs)
         checks.append(check_between(
             f"{label}: aggregate receive rate capped at one link",
             worst, 0.0, link_gbit * 1.02))
-        means = [r.per_flow_mean_gbit for r in rs]
+        means = [r["per_flow_mean_gbit"] for r in rs]
         checks.append(check_between(
             f"{label}: per-flow goodput non-increasing in N",
             1.0 if all(a >= b * 0.99 for a, b in zip(means, means[1:]))
             else 0.0, 1.0, 1.0))
         checks.append(check_between(
             f"{label}: unbounded buffers never drop",
-            float(sum(r.messages_dropped + r.retransmits for r in rs)),
+            float(sum(r["messages_dropped"] + r["retransmits"] for r in rs)),
             0.0, 0.0))
+    legacy, bounded = doc["legacy_rx_off"], doc["bounded_buffer"]
+    cc = doc["congestion"]
+    ref, off, on = cc["reference"], cc["cc_off"], cc["dcqcn"]
     checks.append(check_between(
         "legacy rx-off fabric exceeds one link at N=8 (the bug)",
-        legacy_r.aggregate_gbit, link_gbit * 2.0, float("inf")))
+        legacy["aggregate_gbit"], link_gbit * 2.0, float("inf")))
     checks.append(check_between(
         "bounded buffer tail-drops (drops > 0)",
-        float(bounded_r.messages_dropped), 1.0, float("inf")))
+        float(bounded["messages_dropped"]), 1.0, float("inf")))
     checks.append(check_between(
         "bounded-buffer drops recover via retransmit",
-        float(bounded_r.retransmits), float(bounded_r.messages_dropped),
+        float(bounded["retransmits"]), float(bounded["messages_dropped"]),
         float("inf")))
     # The congestion-collapse fix.  Thresholds are scale-aware: the smoke
     # workload (8 msgs/sender) ends while DCQCN's conservative start is
     # still ramping, so it sits right at the full-scale bar.
-    full = bench_scale() >= 1.0
-    rec_floor, red_floor = (0.8, 10.0) if full else (0.75, 8.0)
+    rec_floor, red_floor = (0.8, 10.0) if doc["scale"] >= 1.0 else (0.75, 8.0)
     checks.append(check_between(
         f"DCQCN recovers >={rec_floor:.0%} of unbounded goodput at N=16",
-        cc_on_r.aggregate_gbit / cc_ref_r.aggregate_gbit,
-        rec_floor, float("inf")))
+        on["aggregate_gbit"] / ref["aggregate_gbit"], rec_floor, float("inf")))
     checks.append(check_between(
         f"DCQCN cuts tail drops >={red_floor:.0f}x vs CC-off at N=16",
-        cc_off_r.messages_dropped / max(cc_on_r.messages_dropped, 1),
+        off["messages_dropped"] / max(on["messages_dropped"], 1),
         red_floor, float("inf")))
     checks.append(check_between(
         "DCQCN run completes every message (no RETRY_EXC_ERR)",
-        float(cc_on_r.failed_msgs), 0.0, 0.0))
+        float(on["failed_msgs"]), 0.0, 0.0))
     checks.append(check_between(
         "DCQCN loop engaged (ECN marks and CNPs observed)",
-        float(min(cc_on_r.ecn_marked, cc_on_r.cnps)), 1.0, float("inf")))
-    emit("incast_fan_in", text + "\n" + report_checks("incast", checks))
-    _record(results, legacy_r, bounded_r, cc_ref_r, cc_off_r, cc_on_r)
+        float(min(on["ecn_marked"], on["cnps"])), 1.0, float("inf")))
+    return checks
+
+
+def render(doc: dict, strict: bool = False) -> str:
+    """The ``incast_fan_in`` table, rendered from a ``BENCH_incast.json``
+    document alone (every number comes from the record, nothing is
+    re-simulated); ``strict`` asserts the shape checks."""
+    link_gbit = doc["link_gbit"]
+    size = doc["sweep"]["BP"][0]["size"]
+    agg = SweepTable(f"Incast: aggregate receive rate, {size // 1024} KiB "
+                     "writes (Gbit/s)", "N")
+    flow = SweepTable("Incast: mean per-flow goodput (Gbit/s)", "N")
+    for label, _kind in PLANES:
+        sa = agg.new_series(label)
+        sf = flow.new_series(label)
+        for r in doc["sweep"][label]:
+            sa.add(str(r["senders"]), r["aggregate_gbit"])
+            sf.add(str(r["senders"]), r["per_flow_mean_gbit"])
+    parts = []
+    for t in (agg, flow):
+        h, rows = t.rows()
+        parts.append(format_table(h, rows, t.title))
+    legacy, bounded = doc["legacy_rx_off"], doc["bounded_buffer"]
+    parts.append(
+        f"legacy fabric (rx_contention off), N={legacy['senders']}: "
+        f"{legacy['aggregate_gbit']:.1f} Gbit/s aggregate "
+        f"(link is {link_gbit:.0f} Gbit/s)\n"
+        f"bounded buffer ({bounded['buffer_bytes'] // 1024} KiB), "
+        f"N={bounded['senders']}: {bounded['aggregate_gbit']:.1f} Gbit/s, "
+        f"{bounded['messages_dropped']} drops, "
+        f"{bounded['retransmits']} retransmits, "
+        f"{bounded['failed_msgs']} failed msgs"
+    )
+    cc = doc["congestion"]
+    ref, off, on = cc["reference"], cc["cc_off"], cc["dcqcn"]
+    parts.append(
+        f"congestion control, N={off['senders']}, bounded "
+        f"{off['buffer_bytes'] // 1024} KiB:\n"
+        f"  unbounded reference: {ref['aggregate_gbit']:.1f} Gbit/s\n"
+        f"  CC off:  {off['aggregate_gbit']:.1f} Gbit/s, "
+        f"{off['messages_dropped']} drops, "
+        f"{off['failed_msgs']} failed msgs\n"
+        f"  DCQCN:   {on['aggregate_gbit']:.1f} Gbit/s "
+        f"({on['aggregate_gbit'] / ref['aggregate_gbit']:.0%} of "
+        f"reference), {on['messages_dropped']} drops "
+        f"({off['messages_dropped'] / max(on['messages_dropped'], 1):.0f}x "
+        f"fewer), {on['failed_msgs']} failed msgs, "
+        f"{on['ecn_marked']} ECN marks, {on['cnps']} CNPs"
+    )
+    return "\n\n".join(parts) + "\n" + report_checks("incast", _checks(doc),
+                                                    strict=strict)
+
+
+def _report(points, results, legacy_r, bounded_r, cc_off_r, cc_on_r):
+    doc = _document(results, legacy_r, bounded_r, cc_off_r, cc_on_r)
+    emit("incast_fan_in", render(doc, strict=True))
+    _record(doc)
 
 
 @pytest.mark.benchmark(group="incast")

@@ -152,10 +152,11 @@ def cmd_incast(args) -> int:
             str(n), f"{r.aggregate_gbit:.2f}", f"{r.per_flow_mean_gbit:.2f}",
             pretty_size(r.rx_queue_peak_bytes), str(r.messages_dropped),
             str(r.retransmits), str(r.ecn_marked), str(r.cnps),
+            str(r.failed_msgs),
         ])
     print(format_table(
         ["senders", "aggregate Gbit/s", "per-flow Gbit/s", "peak rxq",
-         "drops", "retransmits", "ecn marks", "cnps"],
+         "drops", "retransmits", "ecn marks", "cnps", "failed msgs"],
         rows,
         title=f"{args.dataplane} incast on system {args.system}, "
               f"{pretty_size(args.size)} x {args.msgs} msgs/sender "

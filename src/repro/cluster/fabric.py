@@ -35,7 +35,7 @@ degradation apply to intra-host ranks in multi-host MPI worlds too.
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING, Generator, Optional, Union
+from typing import TYPE_CHECKING, Callable, Optional, Union
 
 from repro.errors import HardwareError
 from repro.hw.profiles import CcProfile, NicProfile, RxContentionProfile
@@ -44,7 +44,6 @@ from repro.sim.resources import FifoLock
 if TYPE_CHECKING:  # pragma: no cover
     from repro.hw.nic import Nic
     from repro.sim.engine import Simulator
-    from repro.sim.events import Event
 
 #: What callers may pass as ``rx_contention``: a profile, a bool toggle
 #: (``True`` = unbounded-buffer defaults), or ``None`` (off).
@@ -263,84 +262,96 @@ class Fabric:
     # -- transmission -------------------------------------------------------------
 
     def transmit(
-        self, src_host: int, dst_host: int, nbytes: int, payload: object
-    ) -> Generator["Event", object, None]:
+        self, src_host: int, dst_host: int, nbytes: int, payload: object,
+        then: Optional[Callable[[object], None]] = None, arg: object = None,
+    ) -> None:
         """Carry ``payload`` from ``src_host`` to ``dst_host``.
 
-        Returns when the last bit leaves the source port; delivery happens
-        ``propagation_ns`` later (plus receiver-port queueing when
-        ``rx_contention`` is on).  FIFO per source port preserves per-QP
-        ordering (PSN reordering at the receiver covers the rest).
+        A callback chain, not a process: ``then(arg)`` runs when the last
+        bit leaves the source port (``None`` for no continuation);
+        delivery happens ``propagation_ns`` later (plus receiver-port
+        queueing when ``rx_contention`` is on).  FIFO per source port
+        preserves per-QP ordering (PSN reordering at the receiver covers
+        the rest).
         """
         if nbytes < 0:
             raise HardwareError(f"negative transmit size: {nbytes}")
-        dst = self.nic(dst_host)
-
+        job = (src_host, self.nic(dst_host), nbytes, payload, then, arg)
         if src_host == dst_host:
             # NIC hairpin: PCIe out and back in, no wire — but the same
             # fault hook applies, scoped to the host's loopback link.
-            yield self._loopback_ns(nbytes)
-            extra = 0.0
-            faults = self.faults
-            if faults is not None:
-                verdict = faults.on_transmit(
-                    src_host, dst_host, self.sim.now,
-                    getattr(payload, "kind", "raw"), nbytes,
-                    self.loopback_latency_ns,
-                )
-                if verdict is None:
-                    self.messages_dropped += 1
-                    self.bytes_dropped += nbytes
-                    self.drops_hairpin += 1
-                    return  # dropped in the hairpin: never delivered
-                extra = verdict
-            self.bytes_carried += nbytes
-            self.messages_carried += 1
-            self.sim.call_later(self.loopback_latency_ns + extra,
-                                dst.deliver, payload)
+            self.sim.call_later(self._loopback_ns(nbytes), self._hairpin_done, job)
             return
+        self._tx_ports[src_host].acquire_then(self._tx_granted, job)
 
-        port = self._tx_ports[src_host]
-        wait = port.acquire()
-        if wait is not None:
-            yield wait
-        try:
-            yield self.serialization_ns(nbytes)
-        finally:
-            port.release()
-
-        extra = 0.0
+    def _hairpin_done(self, job: tuple) -> None:
+        src_host, dst, nbytes, payload, then, arg = job
+        delay: Optional[float] = self.loopback_latency_ns
         faults = self.faults
         if faults is not None:
             verdict = faults.on_transmit(
-                src_host, dst_host, self.sim.now,
-                getattr(payload, "kind", "raw"), nbytes, self.propagation_ns,
+                src_host, dst.host_id, self.sim.now,
+                getattr(payload, "kind", "raw"), nbytes, delay,
             )
             if verdict is None:
+                # Dropped in the hairpin: never delivered.
+                self.messages_dropped += 1
+                self.bytes_dropped += nbytes
+                self.drops_hairpin += 1
+                delay = None
+            else:
+                delay += verdict
+        if delay is not None:
+            self.bytes_carried += nbytes
+            self.messages_carried += 1
+            self.sim.call_later(delay, dst.deliver, payload)
+        if then is not None:
+            then(arg)
+
+    def _tx_granted(self, job: tuple) -> None:
+        """The source port is ours: serialize onto the wire."""
+        self.sim.call_later(self.serialization_ns(job[2]), self._tx_done, job)
+
+    def _tx_done(self, job: tuple) -> None:
+        """Last bit left the source port: free it, propagate, continue."""
+        src_host, dst, nbytes, payload, then, arg = job
+        self._tx_ports[src_host].release()
+        delay: Optional[float] = self.propagation_ns
+        faults = self.faults
+        if faults is not None:
+            verdict = faults.on_transmit(
+                src_host, dst.host_id, self.sim.now,
+                getattr(payload, "kind", "raw"), nbytes, delay,
+            )
+            if verdict is None:
+                # Dropped on the wire: never delivered.
                 self.messages_dropped += 1
                 self.bytes_dropped += nbytes
                 self.drops_wire += 1
-                return  # dropped on the wire: never delivered
-            extra = verdict
-        if self.rx_contention is not None:
-            self.sim.spawn(
-                self._rx_deliver(dst, nbytes, payload,
-                                 self.propagation_ns + extra),
-                name=f"{self.name}.rxq",
-            )
-            return
-        self.bytes_carried += nbytes
-        self.messages_carried += 1
-        self.sim.call_later(self.propagation_ns + extra, dst.deliver, payload)
+                delay = None
+            else:
+                delay += verdict
+        if delay is not None and self.rx_contention is not None:
+            # The receiver-side chain is kicked like a spawn: URGENT, now.
+            self.sim.call_urgent(self._rx_propagate, (dst, nbytes, payload, delay))
+        elif delay is not None:
+            self.bytes_carried += nbytes
+            self.messages_carried += 1
+            self.sim.call_later(delay, dst.deliver, payload)
+        if then is not None:
+            then(arg)
 
-    def _rx_deliver(
-        self, dst: "Nic", nbytes: int, payload: object, delay: float
-    ) -> Generator["Event", object, None]:
-        """Receiver side of one message: propagation, switch output-queue
-        admission (tail drop on overflow), then drain through the host's
-        RX ingress port at link rate."""
-        if delay > 0:
-            yield delay
+    def _rx_propagate(self, rjob: tuple) -> None:
+        """Receiver side of one message, a callback chain: propagation,
+        switch output-queue admission (tail drop on overflow), then drain
+        through the host's RX ingress port at link rate."""
+        if rjob[3] > 0:
+            self.sim.call_later(rjob[3], self._rx_admit, rjob)
+        else:
+            self._rx_admit(rjob)
+
+    def _rx_admit(self, rjob: tuple) -> None:
+        dst, nbytes, payload, _delay = rjob
         port = self._rx_ports[dst.host_id]
         if (port.buffer_bytes is not None
                 and port.queued_bytes + nbytes > port.buffer_bytes):
@@ -380,15 +391,17 @@ class Fabric:
             if span is not None:
                 trace.emit(self.sim.now, "span", "mark", span=span,
                            stage="rx_port", host=dst.host_id, comp="wire")
-        lock = port.lock
-        wait = lock.acquire()
-        if wait is not None:
-            yield wait
-        try:
-            yield self.serialization_ns(nbytes)
-        finally:
-            lock.release()
-            port.queued_bytes -= nbytes
+        port.lock.acquire_then(self._rx_granted, rjob)
+
+    def _rx_granted(self, rjob: tuple) -> None:
+        self.sim.call_later(self.serialization_ns(rjob[1]), self._rx_drained, rjob)
+
+    def _rx_drained(self, rjob: tuple) -> None:
+        dst, nbytes, payload, _delay = rjob
+        port = self._rx_ports[dst.host_id]
+        port.lock.release()
+        port.queued_bytes -= nbytes
+        tele = self.sim.telemetry
         if tele.enabled:
             tele.scope(f"host{dst.host_id}").gauge(
                 "fabric.rxq.bytes").set(port.queued_bytes)

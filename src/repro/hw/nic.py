@@ -21,7 +21,7 @@ Timing model (cut-through):
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, Generator, Optional
+from typing import TYPE_CHECKING, Callable, Optional
 
 from repro.errors import HardwareError, MemoryAccessError, VerbsError
 from repro.hw.congestion import DcqcnLimiter
@@ -32,7 +32,6 @@ from repro.verbs.wr import CQE, Opcode, Psn, RecvWR, SendWR, WCStatus, WireMessa
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.engine import Simulator
-    from repro.sim.events import Event
     from repro.verbs.mr import MrTable
 
 #: Wire header size charged per message (BTH + transport headers).
@@ -95,17 +94,7 @@ class Nic:
         #: servers (see ``_tx_serve``/``_rx_serve``).
         self._txq = SerialQueue(sim, self._tx_serve, name=f"{self.name}.txq")
         self._rxq = SerialQueue(sim, self._rx_serve, name=f"{self.name}.rxq")
-        # Precomputed process/event names: these are spawned per message, and
-        # per-message f-strings showed up in profiles.
-        self._tx_msg_name = f"{self.name}.tx.msg"
-        self._rx_msg_name = f"{self.name}.rx.msg"
-        self._ex_send_name = f"{self.name}.ex.send"
-        self._ex_write_name = f"{self.name}.ex.write"
-        self._ex_read_name = f"{self.name}.ex.read"
-        self._ex_atomic_name = f"{self.name}.ex.atomic"
-        self._retry_name = f"{self.name}.retry"
         self._memwatch_name = f"{self.name}.memwatch"
-        self._cnp_name = f"{self.name}.cnp"
         self._fabric = None  # set by attach()
         #: Congestion-control profile, taken from the fabric at attach();
         #: None costs one branch on the TX and RX paths.
@@ -358,13 +347,13 @@ class Nic:
     def _tx_done(self, item: tuple) -> None:
         # Pipeline the rest so the engine can schedule the next WQE
         # while this message is still fetching payload / on the wire.
-        self.sim.spawn(self._initiate(*item), name=self._tx_msg_name)
+        self.sim.call_urgent(self._initiate, item)
         self._txq.done()
 
-    def _initiate(
-        self, qp: QueuePair, wr: SendWR, psn: int, retries: int = 0
-    ) -> Generator["Event", object, None]:
-        """Move one message from local memory onto the wire."""
+    def _initiate(self, item: tuple) -> None:
+        """Move one message from local memory onto the wire: liveness
+        checks, the fetch pipeline fill, then ``_tx_wire``."""
+        qp, wr, psn, retries = item
         if retries:
             # This PSN's queued retry is now being serviced (whether or
             # not it still transmits): a later timeout/NAK may queue a new
@@ -383,7 +372,7 @@ class Nic:
             # or silently reclaimed (RESET), exactly as hardware fetching
             # a WQE on a dead QP would.  Found by `repro verify explore`.
             if qp.state is QPState.ERROR:
-                yield from self._post_cqe(
+                self._post_cqe(
                     qp.send_cq,
                     CQE(wr_id=wr.wr_id, status=WCStatus.WR_FLUSH_ERR,
                         opcode=wr.opcode, byte_len=0, qp_num=qp.qpn,
@@ -423,8 +412,13 @@ class Nic:
         if wr.opcode.reads_local_memory and not wr.inline and wr.length > 0:
             fill += self.profile.dma_read_lat_ns
         if fill:
-            yield fill
+            self.sim.call_later(fill, self._tx_wire, item)
+        else:
+            self._tx_wire(item)
 
+    def _tx_wire(self, item: tuple) -> None:
+        """Build the wire message and hand it to the fabric."""
+        qp, wr, psn, retries = item
         dst_host, dst_qpn = qp.destination_for(wr)
         data = wr.data
         if data is None and wr.opcode.reads_local_memory and wr.length > 0:
@@ -442,29 +436,20 @@ class Nic:
             self.profile.grh_bytes if qp.transport is Transport.UD else 0
         )
         msg = WireMessage(
-            kind=kind,
-            src_host=self.host_id,
-            dst_host=dst_host,
-            src_qpn=qp.qpn,
-            dst_qpn=dst_qpn,
-            transport=qp.transport.value,
-            psn=psn,
-            length=wr.length if kind != "read_req" else wr.length,
-            imm=wr.imm,
-            remote_addr=wr.remote_addr,
-            rkey=wr.rkey,
+            kind=kind, src_host=self.host_id, dst_host=dst_host,
+            src_qpn=qp.qpn, dst_qpn=dst_qpn, transport=qp.transport.value,
+            psn=psn, length=wr.length, imm=wr.imm,
+            remote_addr=wr.remote_addr, rkey=wr.rkey,
             data=data if kind not in ("read_req", "atomic") else None,
-            token=(qp.qpn, psn),
-            meta=wr.meta,
+            token=(qp.qpn, psn), meta=wr.meta,
             atomic=(wr.opcode, wr.compare_add, wr.swap) if kind == "atomic" else None,
-            header_bytes=header,
-            retries=retries,
-            span=wr.span,
+            header_bytes=header, retries=retries, span=wr.span,
         )
         if qp.transport is Transport.RC:
             qp.outstanding[psn] = wr
 
         wire_payload = msg.wire_bytes if kind != "read_req" else msg.header_bytes
+        trace = self.sim.trace
         if trace.enabled:
             trace.emit(self.sim.now, "nic", "tx_start",
                        host=self.host_id, qpn=qp.qpn, wr_id=wr.wr_id,
@@ -473,7 +458,14 @@ class Nic:
                 trace.emit(self.sim.now, "span", "mark", span=wr.span,
                            stage="tx_wire", host=self.host_id, comp="wire")
         assert self._fabric is not None
-        yield from self._fabric.transmit(self.host_id, dst_host, wire_payload, msg)
+        self._fabric.transmit(self.host_id, dst_host, wire_payload, msg,
+                              self._tx_sent, (item, wire_payload))
+
+    def _tx_sent(self, sent: tuple) -> None:
+        """The last bit left the port: count, arm the ACK timer, and
+        complete a UD send."""
+        (qp, wr, psn, retries), wire_payload = sent
+        trace = self.sim.trace
         if trace.enabled:
             trace.emit(self.sim.now, "nic", "tx_done",
                        host=self.host_id, qpn=qp.qpn, wr_id=wr.wr_id, psn=psn)
@@ -496,7 +488,7 @@ class Nic:
             # UD is unacknowledged: the send completes once it is on the wire.
             qp.sq_outstanding -= 1
             if wr.signaled:
-                yield from self._post_cqe(
+                self._post_cqe(
                     qp.send_cq,
                     CQE(wr_id=wr.wr_id, status=WCStatus.SUCCESS, opcode=wr.opcode,
                         byte_len=wr.length, qp_num=qp.qpn, span=wr.span),
@@ -514,10 +506,10 @@ class Nic:
         self.sim.call_later(occupancy, self._rx_done, msg)
 
     def _rx_done(self, msg: WireMessage) -> None:
-        self.sim.spawn(self._dispatch(msg), name=self._rx_msg_name)
+        self.sim.call_urgent(self._dispatch, msg)
         self._rxq.done()
 
-    def _dispatch(self, msg: WireMessage) -> Generator["Event", object, None]:
+    def _dispatch(self, msg: WireMessage) -> None:
         if msg.kind == "ip":
             # Socket path: hand off to the kernel's IPoIB device.
             if self.ip_handler is not None:
@@ -527,10 +519,10 @@ class Nic:
             self._handle_cnp(msg)
             return
         if msg.kind in ("ack", "nak_rnr"):
-            yield from self._handle_response(msg)
+            self._handle_response(msg)
             return
         if msg.kind in ("read_resp", "atomic_resp"):
-            yield from self._handle_read_resp(msg)
+            self._handle_read_resp(msg)
             return
 
         qp = self._qps.get(msg.dst_qpn)
@@ -548,17 +540,13 @@ class Nic:
             self._note_ecn(msg)
 
         if msg.transport == "RC":
-            yield from self._rx_rc(qp, msg)
-            mon = self.sim._monitor
-            if mon is not None:
-                mon.on_responder_update(qp)
+            self._rx_rc(qp, msg)
         else:
             self._accept(qp, msg)
 
-    def _rx_rc(
-        self, qp: QueuePair, msg: WireMessage
-    ) -> Generator["Event", object, None]:
-        """RC responder: enforce per-QP PSN acceptance order.
+    def _rx_rc(self, qp: QueuePair, msg: WireMessage) -> None:
+        """RC responder: enforce per-QP PSN acceptance order, then report
+        the responder update to an attached monitor.
 
         All PSN comparisons are 24-bit serial arithmetic (:class:`Psn`):
         "ahead" means the forward distance from ``expected_psn`` is below
@@ -566,32 +554,34 @@ class Nic:
         logic survives the wrap point a raw ``<``/``>`` would not.
         """
         order = Psn.cmp(msg.psn, qp.expected_psn)
+        mon = self.sim._monitor
+        if order < 0 and msg.kind in ("send", "write"):
+            # Duplicate (retry of a message whose response was lost);
+            # answer again without re-executing side effects.  The
+            # monitor hears of it once the ACK has left.
+            self._send_ack((qp, msg, "ack", WCStatus.SUCCESS,
+                            None if mon is None else mon.on_responder_update, qp))
+            return
         if order > 0:
             qp.reorder[msg.psn] = msg
-            return
-        if order < 0:
-            # Duplicate (retry of a message whose response was lost);
-            # answer again without re-executing side effects.
-            if msg.kind in ("send", "write"):
-                yield from self._send_ack(qp, msg, "ack")
-            elif msg.kind == "read_req":
+        elif order < 0:
+            if msg.kind == "read_req":
                 # Reads are idempotent: just serve the data again.
-                self.sim.spawn(self._exec_read_req(qp, msg),
-                               name=self._ex_read_name)
+                self.sim.call_urgent(self._exec_read_req, (qp, msg))
             elif msg.kind == "atomic":
                 self._replay_atomic(qp, msg)
-            return
-        if not self._accept(qp, msg):
-            # RNR-NAKed: the PSN stays expected; the retry will redeliver.
-            return
-        self._advance_expected_psn(qp)
-        while qp.expected_psn in qp.reorder:
-            held = qp.reorder.pop(qp.expected_psn)
-            if not self._accept(qp, held):
-                # Put it back; the initiator will retransmit this PSN.
-                qp.reorder[qp.expected_psn] = held
-                return
+        elif self._accept(qp, msg):
+            # (An RNR-NAKed PSN stays expected; the retry will redeliver.)
             self._advance_expected_psn(qp)
+            while qp.expected_psn in qp.reorder:
+                held = qp.reorder.pop(qp.expected_psn)
+                if not self._accept(qp, held):
+                    # Put it back; the initiator will retransmit this PSN.
+                    qp.reorder[qp.expected_psn] = held
+                    break
+                self._advance_expected_psn(qp)
+        if mon is not None:
+            mon.on_responder_update(qp)
 
     def _advance_expected_psn(self, qp: QueuePair) -> None:
         """Commit acceptance of the current expected PSN (24-bit wrap).
@@ -615,25 +605,26 @@ class Nic:
         """
         cached = qp.atomic_cache.get(msg.psn)
         if cached is not None:
-            self.sim.spawn(self._exec_atomic_resp(qp, msg, cached),
-                           name=self._ex_atomic_name)
+            self.sim.call_urgent(self._exec_atomic_resp, (qp, msg, cached))
 
     def _accept(self, qp: QueuePair, msg: WireMessage) -> bool:
         """Synchronous in-order acceptance of a request at the responder:
-        claims queue entries and validates keys, then spawns the timed
-        execution (DMA + CQE + ACK) concurrently so back-to-back messages
-        pipeline as on real hardware.  Returns False when RNR-NAKed."""
+        claims queue entries and validates keys, then kicks the timed
+        execution (DMA + CQE + ACK) as its own callback chain so
+        back-to-back messages pipeline as on real hardware.  Returns False
+        when RNR-NAKed."""
+        kick = self.sim.call_urgent
         if msg.kind == "send":
             rwr = self._claim_recv_wqe(qp)
             if rwr is None:
                 if msg.transport == "RC":
                     qp.rnr_naks += 1
                     self.counters.rnr_naks_sent += 1
-                    self.sim.spawn(self._send_ack(qp, msg, "nak_rnr"))
+                    kick(self._send_ack, (qp, msg, "nak_rnr", WCStatus.SUCCESS, None, None))
                 else:
                     self.counters.ud_drops += 1
                 return False
-            self.sim.spawn(self._exec_send(qp, msg, rwr), name=self._ex_send_name)
+            kick(self._exec_send, (qp, msg, rwr))
             return True
 
         if msg.kind == "write":
@@ -643,9 +634,8 @@ class Nic:
             )
             if mr is None:
                 self.counters.remote_access_errors += 1
-                self.sim.spawn(
-                    self._send_ack(qp, msg, "ack", status=WCStatus.REM_ACCESS_ERR)
-                )
+                kick(self._send_ack,
+                     (qp, msg, "ack", WCStatus.REM_ACCESS_ERR, None, None))
                 return True
             rwr = None
             if msg.imm is not None:
@@ -654,13 +644,13 @@ class Nic:
                 if rwr is None:
                     qp.rnr_naks += 1
                     self.counters.rnr_naks_sent += 1
-                    self.sim.spawn(self._send_ack(qp, msg, "nak_rnr"))
+                    kick(self._send_ack, (qp, msg, "nak_rnr", WCStatus.SUCCESS, None, None))
                     return False
-            self.sim.spawn(self._exec_write(qp, msg, mr, rwr), name=self._ex_write_name)
+            kick(self._exec_write, (qp, msg, mr, rwr))
             return True
 
         if msg.kind == "read_req":
-            self.sim.spawn(self._exec_read_req(qp, msg), name=self._ex_read_name)
+            kick(self._exec_read_req, (qp, msg))
             return True
 
         if msg.kind == "atomic":
@@ -671,9 +661,8 @@ class Nic:
             mr = self.mr_table.check_remote(msg.rkey, msg.remote_addr, 8, write=True)
             if mr is None:
                 self.counters.remote_access_errors += 1
-                self.sim.spawn(
-                    self._send_ack(qp, msg, "ack", status=WCStatus.REM_ACCESS_ERR)
-                )
+                kick(self._send_ack,
+                     (qp, msg, "ack", WCStatus.REM_ACCESS_ERR, None, None))
                 return True
             offset = msg.remote_addr - mr.buffer.addr
             original = int.from_bytes(mr.buffer.read(offset, 8), "little")
@@ -691,9 +680,7 @@ class Nic:
             self._notify_memory_watchers(msg.remote_addr, 8)
             self.counters.rx_msgs += 1
             self.counters.rx_bytes += msg.wire_bytes
-            self.sim.spawn(
-                self._exec_atomic_resp(qp, msg, original), name=self._ex_atomic_name
-            )
+            kick(self._exec_atomic_resp, (qp, msg, original))
             return True
 
         raise HardwareError(f"unknown message kind {msg.kind!r}")  # pragma: no cover
@@ -709,60 +696,77 @@ class Nic:
             return qp.srq.pop() if len(qp.srq) else None
         return qp.rq.popleft() if qp.rq else None
 
-    def _exec_send(
-        self, qp: QueuePair, msg: WireMessage, rwr: RecvWR
-    ) -> Generator["Event", object, None]:
+    # Each responder execution is a callback chain kicked by ``_accept``:
+    # payload DMA fill, CQE, then the ACK or the response transmit.
+
+    def _exec_send(self, job: tuple) -> None:
+        qp, msg, rwr = job
         trace = self.sim.trace
         if trace.enabled and msg.span is not None:
             trace.emit(self.sim.now, "span", "mark", span=msg.span,
                        stage="rx_exec", host=self.host_id, comp="nic.rx")
+        if 0 < msg.length <= rwr.length:
+            # Payload DMA pipeline-fill; bandwidth already paid on the wire.
+            self.sim.call_later(self.profile.dma_write_lat_ns, self._send_landed, job)
+        else:
+            self._send_landed(job)
+
+    def _send_landed(self, job: tuple) -> None:
+        qp, msg, rwr = job
         status = WCStatus.SUCCESS
         if msg.length > rwr.length:
             status = WCStatus.LOC_LEN_ERR
-        elif msg.length > 0:
-            # Payload DMA pipeline-fill; bandwidth already paid on the wire.
-            yield self.profile.dma_write_lat_ns
-            if msg.data is not None:
-                assert self.mr_table is not None
-                mr = self.mr_table.check_local(rwr.lkey, rwr.addr, msg.length, write=True)
-                mr.buffer.write(rwr.addr - mr.buffer.addr, msg.data)
-                self._notify_memory_watchers(rwr.addr, msg.length)
+        elif msg.length > 0 and msg.data is not None:
+            assert self.mr_table is not None
+            mr = self.mr_table.check_local(rwr.lkey, rwr.addr, msg.length, write=True)
+            mr.buffer.write(rwr.addr - mr.buffer.addr, msg.data)
+            self._notify_memory_watchers(rwr.addr, msg.length)
         self.counters.rx_msgs += 1
         self.counters.rx_bytes += msg.wire_bytes
-        yield from self._post_cqe(
+        rc = msg.transport == "RC"
+        self._post_cqe(
             qp.recv_cq,
             CQE(wr_id=rwr.wr_id, status=status, opcode=Opcode.SEND,
                 byte_len=msg.length, qp_num=qp.qpn, src_qp=msg.src_qpn,
                 imm=msg.imm, data=msg.data, meta=msg.meta, span=msg.span),
+            self._send_ack if rc else None,
+            (qp, msg, "ack", WCStatus.SUCCESS, None, None) if rc else None,
         )
-        if msg.transport == "RC":
-            yield from self._send_ack(qp, msg, "ack")
 
-    def _exec_write(
-        self, qp: QueuePair, msg: WireMessage, mr, rwr: Optional[RecvWR]
-    ) -> Generator["Event", object, None]:
+    def _exec_write(self, job: tuple) -> None:
+        msg = job[1]
         trace = self.sim.trace
         if trace.enabled and msg.span is not None:
             trace.emit(self.sim.now, "span", "mark", span=msg.span,
                        stage="rx_exec", host=self.host_id, comp="nic.rx")
         if msg.length > 0:
-            yield self.profile.dma_write_lat_ns
+            self.sim.call_later(self.profile.dma_write_lat_ns, self._write_landed, job)
+        else:
+            self._write_landed(job)
+
+    def _write_landed(self, job: tuple) -> None:
+        qp, msg, mr, rwr = job
+        if msg.length > 0:
             if msg.data is not None:
                 mr.buffer.write(msg.remote_addr - mr.buffer.addr, msg.data)
             self._notify_memory_watchers(msg.remote_addr, msg.length)
         self.counters.rx_msgs += 1
         self.counters.rx_bytes += msg.wire_bytes
-        if rwr is not None:
-            yield from self._post_cqe(
-                qp.recv_cq,
-                CQE(wr_id=rwr.wr_id, status=WCStatus.SUCCESS,
-                    opcode=Opcode.RDMA_WRITE_WITH_IMM, byte_len=msg.length,
-                    qp_num=qp.qpn, src_qp=msg.src_qpn, imm=msg.imm,
-                    meta=msg.meta, span=msg.span),
-            )
-        yield from self._send_ack(qp, msg, "ack")
+        ack = (qp, msg, "ack", WCStatus.SUCCESS, None, None)
+        if rwr is None:
+            self._send_ack(ack)
+            return
+        self._post_cqe(
+            qp.recv_cq,
+            CQE(wr_id=rwr.wr_id, status=WCStatus.SUCCESS,
+                opcode=Opcode.RDMA_WRITE_WITH_IMM, byte_len=msg.length,
+                qp_num=qp.qpn, src_qp=msg.src_qpn, imm=msg.imm,
+                meta=msg.meta, span=msg.span),
+            self._send_ack, ack,
+        )
 
-    def _exec_read_req(self, qp: QueuePair, msg: WireMessage) -> Generator["Event", object, None]:
+    def _exec_read_req(self, job: tuple) -> None:
+        qp, msg = job
         trace = self.sim.trace
         if trace.enabled and msg.span is not None:
             trace.emit(self.sim.now, "span", "mark", span=msg.span,
@@ -771,64 +775,59 @@ class Nic:
         mr = self.mr_table.check_remote(msg.rkey, msg.remote_addr, msg.length, write=False)
         if mr is None:
             self.counters.remote_access_errors += 1
-            yield from self._send_ack(qp, msg, "ack", status=WCStatus.REM_ACCESS_ERR)
-            return
-        data: Optional[bytes] = None
-        if msg.length > 0:
+            self._send_ack((qp, msg, "ack", WCStatus.REM_ACCESS_ERR, None, None))
+        elif msg.length > 0:
             # Responder-side payload fetch pipeline fill.
-            yield self.profile.dma_read_lat_ns
-            if mr.buffer.data is not None:
-                data = mr.buffer.read(msg.remote_addr - mr.buffer.addr, msg.length)
-        resp = WireMessage(
-            kind="read_resp",
-            src_host=self.host_id,
-            dst_host=msg.src_host,
-            src_qpn=msg.dst_qpn,
-            dst_qpn=msg.src_qpn,
-            transport=msg.transport,
-            psn=msg.psn,
-            length=msg.length,
-            data=data,
-            token=msg.token,
-            header_bytes=HEADER_BYTES,
-            span=msg.span,
-        )
-        assert self._fabric is not None
-        yield from self._fabric.transmit(self.host_id, msg.src_host, resp.wire_bytes, resp)
-        self.counters.tx_msgs += 1
-        self.counters.tx_bytes += resp.wire_bytes
+            self.sim.call_later(self.profile.dma_read_lat_ns, self._read_fetched,
+                                (msg, mr))
+        else:
+            self._read_fetched((msg, mr))
 
-    def _exec_atomic_resp(
-        self, qp: QueuePair, msg: WireMessage, original: int
-    ) -> Generator["Event", object, None]:
+    def _read_fetched(self, job: tuple) -> None:
+        msg, mr = job
+        data: Optional[bytes] = None
+        if msg.length > 0 and mr.buffer.data is not None:
+            data = mr.buffer.read(msg.remote_addr - mr.buffer.addr, msg.length)
+        self._respond((msg, "read_resp", msg.length, data))
+
+    def _exec_atomic_resp(self, job: tuple) -> None:
         """Return the pre-op value to the initiator."""
+        qp, msg, original = job
         mon = self.sim._monitor
         if mon is not None:
             # Every response for this (qpn, psn) must carry the same value
             # (PROTO106): first execution and cache replays alike land here.
             mon.on_atomic_response(qp, msg.psn, original)
-        yield self.profile.ack_ns
-        resp = WireMessage(
-            kind="atomic_resp",
-            src_host=self.host_id,
-            dst_host=msg.src_host,
-            src_qpn=msg.dst_qpn,
-            dst_qpn=msg.src_qpn,
-            transport=msg.transport,
-            psn=msg.psn,
-            length=8,
-            data=original.to_bytes(8, "little"),
-            token=msg.token,
-            header_bytes=HEADER_BYTES,
-            span=msg.span,
+        self.sim.call_later(self.profile.ack_ns, self._respond,
+                            (msg, "atomic_resp", 8, original.to_bytes(8, "little")))
+
+    def _reply_to(self, request: WireMessage, kind: str, length: int = 0,
+                  data: Optional[bytes] = None, imm: Optional[int] = None,
+                  retries: int = 0, span: Optional[int] = None) -> WireMessage:
+        """A ``kind`` message answering ``request``: same QP pair, PSN and
+        token, the other direction."""
+        return WireMessage(
+            kind=kind, src_host=self.host_id, dst_host=request.src_host,
+            src_qpn=request.dst_qpn, dst_qpn=request.src_qpn,
+            transport=request.transport, psn=request.psn, length=length,
+            imm=imm, data=data, token=request.token,
+            header_bytes=HEADER_BYTES, retries=retries, span=span,
         )
+
+    def _respond(self, job: tuple) -> None:
+        """Transmit a READ / atomic response ``(request, kind, length,
+        data)`` to the requester."""
+        msg, kind, length, data = job
+        resp = self._reply_to(msg, kind, length, data, span=msg.span)
         assert self._fabric is not None
-        yield from self._fabric.transmit(self.host_id, msg.src_host,
-                                         resp.wire_bytes, resp)
+        self._fabric.transmit(self.host_id, msg.src_host, resp.wire_bytes, resp,
+                              self._responded, resp)
+
+    def _responded(self, resp: WireMessage) -> None:
         self.counters.tx_msgs += 1
         self.counters.tx_bytes += resp.wire_bytes
 
-    def _handle_read_resp(self, msg: WireMessage) -> Generator["Event", object, None]:
+    def _handle_read_resp(self, msg: WireMessage) -> None:
         """READ / atomic response at the initiator."""
         qp = self._qps.get(msg.dst_qpn)
         if qp is None:
@@ -841,22 +840,28 @@ class Nic:
         qp.retx_retries.pop(psn, None)
         qp.retx_epoch.pop(psn, None)
         if msg.length > 0:
-            yield self.profile.dma_write_lat_ns
-            if msg.data is not None:
-                assert self.mr_table is not None
-                mr = self.mr_table.check_local(wr.lkey, wr.addr, msg.length, write=True)
-                mr.buffer.write(wr.addr - mr.buffer.addr, msg.data)
-                self._notify_memory_watchers(wr.addr, msg.length)
+            self.sim.call_later(self.profile.dma_write_lat_ns, self._read_resp_landed,
+                                (qp, wr, msg))
+        else:
+            self._read_resp_landed((qp, wr, msg))
+
+    def _read_resp_landed(self, job: tuple) -> None:
+        qp, wr, msg = job
+        if msg.length > 0 and msg.data is not None:
+            assert self.mr_table is not None
+            mr = self.mr_table.check_local(wr.lkey, wr.addr, msg.length, write=True)
+            mr.buffer.write(wr.addr - mr.buffer.addr, msg.data)
+            self._notify_memory_watchers(wr.addr, msg.length)
         qp.sq_outstanding -= 1
         if wr.signaled:
-            yield from self._post_cqe(
+            self._post_cqe(
                 qp.send_cq,
                 CQE(wr_id=wr.wr_id, status=WCStatus.SUCCESS, opcode=wr.opcode,
                     byte_len=msg.length, qp_num=qp.qpn, data=msg.data,
                     span=wr.span),
             )
 
-    def _handle_response(self, msg: WireMessage) -> Generator["Event", object, None]:
+    def _handle_response(self, msg: WireMessage) -> None:
         """ACK / RNR-NAK arriving back at the initiator."""
         qp = self._qps.get(msg.dst_qpn)
         if qp is None:
@@ -874,14 +879,13 @@ class Nic:
                 qp.retx_retries.pop(psn, None)
                 qp.retx_epoch.pop(psn, None)
                 qp.sq_outstanding -= 1
-                yield from self._post_cqe(
+                self._post_cqe(
                     qp.send_cq,
                     CQE(wr_id=wr.wr_id, status=WCStatus.RNR_RETRY_EXC_ERR,
                         opcode=wr.opcode, byte_len=wr.length, qp_num=qp.qpn,
                         span=wr.span),
+                    self._error_qp, qp,
                 )
-                if qp.state not in (QPState.ERROR, QPState.RESET):
-                    qp.modify(QPState.ERROR)
                 return
             # Invalidate any armed ACK timer right away: the responder has
             # spoken for this attempt, the back-off below owns the retry.
@@ -891,8 +895,8 @@ class Nic:
             self.counters.retries += 1
             # Escalating back-off: delay grows with the retry index so
             # repeated RNR NAKs don't hot-loop (first retry unchanged).
-            yield RNR_DELAY_NS * (retries + 1)
-            self._queue_retransmit(qp, wr, psn, retries + 1)
+            self.sim.call_later(RNR_DELAY_NS * (retries + 1),
+                                self._queue_retransmit, (qp, wr, psn, retries + 1))
             return
         # Positive ACK.
         status = WCStatus.REM_ACCESS_ERR if msg.imm == -1 else WCStatus.SUCCESS
@@ -903,16 +907,19 @@ class Nic:
         if msg.length < 0:  # pragma: no cover - defensive
             raise HardwareError("negative ack length")
         if wr.signaled or status is not WCStatus.SUCCESS:
-            yield from self._post_cqe(
+            # A remote error ACK is fatal for the QP: once its CQE is
+            # out, transition to ERROR and flush the remaining in-flight
+            # work, as real RC does.
+            self._post_cqe(
                 qp.send_cq,
                 CQE(wr_id=wr.wr_id, status=status, opcode=wr.opcode,
                     byte_len=wr.length, qp_num=qp.qpn, span=wr.span),
+                self._error_qp if status is not WCStatus.SUCCESS else None, qp,
             )
-        if status is not WCStatus.SUCCESS and qp.state not in (
-            QPState.ERROR, QPState.RESET
-        ):
-            # A remote error ACK is fatal for the QP: transition to ERROR
-            # and flush the remaining in-flight work, as real RC does.
+
+    def _error_qp(self, qp: QueuePair) -> None:
+        """Move a live QP to ERROR (its flush completes the rest)."""
+        if qp.state not in (QPState.ERROR, QPState.RESET):
             qp.modify(QPState.ERROR)
 
     # -- RC loss recovery (ACK-timeout retransmission) ---------------------------
@@ -963,16 +970,14 @@ class Nic:
             qp.retx_retries.pop(psn, None)
             qp.retx_epoch.pop(psn, None)
             qp.sq_outstanding -= 1
-            self.sim.spawn(self._complete_retry_exhausted(qp, wr),
-                           name=self._retry_name)
+            self.sim.call_urgent(self._complete_retry_exhausted, (qp, wr))
             return
         qp.retx_retries[psn] = retries + 1
-        self._queue_retransmit(qp, wr, psn, retries + 1)
+        self._queue_retransmit((qp, wr, psn, retries + 1))
 
-    def _queue_retransmit(
-        self, qp: QueuePair, wr: SendWR, psn: int, retries: int
-    ) -> None:
-        """Feed a retry back through the normal TX pipeline.
+    def _queue_retransmit(self, item: tuple) -> None:
+        """Feed a retry ``(qp, wr, psn, retries)`` back through the normal
+        TX pipeline.
 
         Retries share the WQE-scheduling engine with first transmissions,
         so they pay processing occupancy and pipeline fill and show up in
@@ -986,6 +991,7 @@ class Nic:
         to ``_initiate`` for the same reason: it must reflect messages
         actually retransmitted, not retry intents later cancelled.
         """
+        qp, _wr, psn, retries = item
         if psn in qp.retx_pending:
             return  # a retry for this PSN is already queued
         qp.retx_pending.add(psn)
@@ -1000,42 +1006,31 @@ class Nic:
         if trace.enabled:
             trace.emit(self.sim.now, "nic", "retransmit",
                        host=self.host_id, qpn=qp.qpn, psn=psn, retries=retries)
-        self._txq.put((qp, wr, psn, retries))
+        self._txq.put(item)
 
-    def _complete_retry_exhausted(
-        self, qp: QueuePair, wr: SendWR
-    ) -> Generator["Event", object, None]:
-        """retry_cnt exhausted: fail the WR, then error-out the QP."""
-        yield from self._post_cqe(
+    def _complete_retry_exhausted(self, job: tuple) -> None:
+        """retry_cnt exhausted: fail the WR ``(qp, wr)``, then error-out
+        the QP."""
+        qp, wr = job
+        self._post_cqe(
             qp.send_cq,
             CQE(wr_id=wr.wr_id, status=WCStatus.RETRY_EXC_ERR,
                 opcode=wr.opcode, byte_len=wr.length, qp_num=qp.qpn,
                 span=wr.span),
+            self._error_qp, qp,
         )
-        if qp.state not in (QPState.ERROR, QPState.RESET):
-            qp.modify(QPState.ERROR)
 
-    def _send_ack(
-        self,
-        qp: QueuePair,
-        request: WireMessage,
-        kind: str,
-        status: WCStatus = WCStatus.SUCCESS,
-    ) -> Generator["Event", object, None]:
-        yield self.profile.ack_ns
-        ack = WireMessage(
-            kind=kind,
-            src_host=self.host_id,
-            dst_host=request.src_host,
-            src_qpn=request.dst_qpn,
-            dst_qpn=request.src_qpn,
-            transport=request.transport,
-            psn=request.psn,
-            imm=-1 if status is not WCStatus.SUCCESS else None,
-            token=request.token,
-            header_bytes=HEADER_BYTES,
-            retries=request.retries,
-            span=request.span,
+    def _send_ack(self, job: tuple) -> None:
+        """Answer ``job = (qp, request, kind, status, then, arg)`` after
+        the ``ack_ns`` turnaround; ``then(arg)`` runs once the ACK/NAK has
+        left the port."""
+        self.sim.call_later(self.profile.ack_ns, self._ack_out, job)
+
+    def _ack_out(self, job: tuple) -> None:
+        qp, request, kind, status, _then, _arg = job
+        ack = self._reply_to(
+            request, kind, imm=-1 if status is not WCStatus.SUCCESS else None,
+            retries=request.retries, span=request.span,
         )
         mon = self.sim._monitor
         if mon is not None:
@@ -1045,9 +1040,14 @@ class Nic:
             trace.emit(self.sim.now, "span", "mark", span=request.span,
                        stage="ack", host=self.host_id, comp="nic.tx")
         assert self._fabric is not None
-        yield from self._fabric.transmit(self.host_id, request.src_host, ack.wire_bytes, ack)
-        if kind == "ack":
+        self._fabric.transmit(self.host_id, request.src_host, ack.wire_bytes, ack,
+                              self._ack_sent, job)
+
+    def _ack_sent(self, job: tuple) -> None:
+        if job[2] == "ack":
             self.counters.acks_sent += 1
+        if job[4] is not None:
+            job[4](job[5])
 
     # -- congestion control (CNP generation + DCQCN rate limiting) ---------------
 
@@ -1088,30 +1088,20 @@ class Nic:
             trace.emit(self.sim.now, "nic", "cnp_send",
                        host=self.host_id, dst_host=msg.src_host,
                        qpn=msg.src_qpn, psn=msg.psn)
-        self.sim.spawn(self._send_cnp(msg), name=self._cnp_name)
+        self.sim.call_urgent(self._send_cnp, msg)
 
-    def _send_cnp(self, request: WireMessage) -> Generator["Event", object, None]:
-        """Build and transmit one CNP (same turnaround cost as an ACK).
+    def _send_cnp(self, request: WireMessage) -> None:
+        """Transmit one CNP after the ACK turnaround cost.
 
         CNPs are unacknowledged and never retransmitted — losing one only
         delays the next rate cut by a CNP interval, as on real fabrics.
         """
-        yield self.profile.ack_ns
-        cnp = WireMessage(
-            kind="cnp",
-            src_host=self.host_id,
-            dst_host=request.src_host,
-            src_qpn=request.dst_qpn,
-            dst_qpn=request.src_qpn,
-            transport=request.transport,
-            psn=request.psn,
-            token=request.token,
-            header_bytes=HEADER_BYTES,
-        )
+        self.sim.call_later(self.profile.ack_ns, self._cnp_out, request)
+
+    def _cnp_out(self, request: WireMessage) -> None:
+        cnp = self._reply_to(request, "cnp")
         assert self._fabric is not None
-        yield from self._fabric.transmit(
-            self.host_id, request.src_host, cnp.wire_bytes, cnp
-        )
+        self._fabric.transmit(self.host_id, request.src_host, cnp.wire_bytes, cnp)
 
     def _handle_cnp(self, msg: WireMessage) -> None:
         """Initiator half of the loop: cut the marked QP's rate."""
@@ -1134,9 +1124,16 @@ class Nic:
 
     # -- completion + memory watch helpers ---------------------------------------
 
-    def _post_cqe(self, cq, cqe: CQE) -> Generator["Event", object, None]:
-        """Write a CQE to host memory (timed) and push it."""
-        yield self.profile.dma_write_lat_ns
+    def _post_cqe(self, cq, cqe: CQE,
+                  then: Optional[Callable[[object], None]] = None,
+                  arg: object = None) -> None:
+        """Write a CQE to host memory (timed) and push it, then run
+        ``then(arg)``."""
+        self.sim.call_later(self.profile.dma_write_lat_ns, self._cqe_written,
+                            (cq, cqe, then, arg))
+
+    def _cqe_written(self, job: tuple) -> None:
+        cq, cqe, then, arg = job
         trace = self.sim.trace
         if trace.enabled:
             trace.emit(self.sim.now, "nic", "cqe",
@@ -1150,6 +1147,8 @@ class Nic:
         tele = self.sim.telemetry
         if tele.enabled:
             tele.scope(self._scope).histogram("cq.depth").observe(len(cq.entries))
+        if then is not None:
+            then(arg)
 
     # Memory watchers let applications "poll on memory" (perftest write_lat
     # detects arrival by spinning on the target buffer's last byte).

@@ -115,8 +115,6 @@ class IPoIBSocket:
         self._seq = itertools.count()
         # Credit-based flow control against the peer's receive buffer.
         self._credits = device.profile.sndbuf_bytes
-        self._tx_name = f"sock{self.sock_id}.tx"
-        self._credit_name = f"sock{self.sock_id}.credit"
         self._credit_waiters: deque = deque()
         self.bytes_sent = 0
         self.bytes_received = 0
@@ -207,47 +205,41 @@ class IPoIBSocket:
             self._credits -= nbytes
         seq = next(self._seq)
         nsegs = max(1, math.ceil(nbytes / prof.burst_bytes)) if nbytes else 1
-        self.sim.spawn(
-            self._tx_segments(target, seq, nbytes, nsegs, data, meta),
-            name=self._tx_name,
+        self.sim.call_urgent(
+            self._tx_segments, (target, seq, nbytes, nsegs, data, meta, 0)
         )
         self.bytes_sent += nbytes
 
-    def _tx_segments(
-        self,
-        target: "IPoIBSocket",
-        seq: int,
-        nbytes: int,
-        nsegs: int,
-        data: Optional[bytes],
-        meta: object,
-    ) -> Generator["Event", object, None]:
+    def _tx_segments(self, job: tuple) -> None:
+        """Put segment ``idx`` of ``job`` on the wire; each segment's
+        transmit continues with the next until the message is out."""
+        target, seq, nbytes, nsegs, data, meta, idx = job
+        if idx == nsegs:
+            self.device.tx_messages += 1
+            return
         prof = self.device.profile
         host = self.device.host
         dst_host = target.device.host.host_id
-        remaining = nbytes
-        for idx in range(nsegs):
-            seg = min(prof.burst_bytes, remaining) if nsegs > 1 else nbytes
-            remaining -= seg
-            seg_data = None
-            if data is not None:
-                off = idx * prof.burst_bytes
-                seg_data = data[off : off + seg]
-            wire = WireMessage(
-                kind="ip",
-                src_host=host.host_id,
-                dst_host=dst_host,
-                src_qpn=0,
-                dst_qpn=0,
-                transport="UD",
-                psn=0,
-                length=seg,
-                token=("data", (target.sock_id, (self.sock_id, seq), idx, nsegs, nbytes, seg_data, meta)),
-                # IPoIB per-packet header tax: 44 B per 2044 B packet.
-                header_bytes=prof.packets(seg) * 44,
-            )
-            yield from host.fabric.transmit(host.host_id, dst_host, wire.wire_bytes, wire)
-        self.device.tx_messages += 1
+        seg = min(prof.burst_bytes, nbytes - idx * prof.burst_bytes) if nsegs > 1 else nbytes
+        seg_data = None
+        if data is not None:
+            off = idx * prof.burst_bytes
+            seg_data = data[off : off + seg]
+        wire = WireMessage(
+            kind="ip",
+            src_host=host.host_id,
+            dst_host=dst_host,
+            src_qpn=0,
+            dst_qpn=0,
+            transport="UD",
+            psn=0,
+            length=seg,
+            token=("data", (target.sock_id, (self.sock_id, seq), idx, nsegs, nbytes, seg_data, meta)),
+            # IPoIB per-packet header tax: 44 B per 2044 B packet.
+            header_bytes=prof.packets(seg) * 44,
+        )
+        host.fabric.transmit(host.host_id, dst_host, wire.wire_bytes, wire,
+                             self._tx_segments, job[:6] + (idx + 1,))
 
     def _segment_arrived(
         self,
@@ -294,9 +286,7 @@ class IPoIBSocket:
                 token=("credit", (self.peer.sock_id, nbytes)),
                 header_bytes=44,
             )
-            self.sim.spawn(
-                self._send_credit(credit), name=self._credit_name
-            )
+            self.sim.call_urgent(self._send_credit, credit)
         return src_host, nbytes, data
 
     def recvfrom(
@@ -315,11 +305,9 @@ class IPoIBSocket:
         self.bytes_received += nbytes
         return src_host, nbytes, data, meta
 
-    def _send_credit(self, wire: WireMessage) -> Generator["Event", object, None]:
+    def _send_credit(self, wire: WireMessage) -> None:
         host = self.device.host
-        yield from host.fabric.transmit(
-            host.host_id, wire.dst_host, wire.wire_bytes, wire
-        )
+        host.fabric.transmit(host.host_id, wire.dst_host, wire.wire_bytes, wire)
 
     def _return_credit(self, nbytes: int) -> None:
         self._credits += nbytes

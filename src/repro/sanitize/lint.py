@@ -37,8 +37,12 @@ dynamically, at the places where the static shape is already wrong:
   space; raw integer math silently diverges at the wrap point.
 - **PROTO003** — a function that consumes an in-flight WR (pops from
   ``outstanding`` or decrements ``sq_outstanding``) but contains no
-  completion-posting machinery (``_post_cqe``/``push``/``spawn``): a
-  completion path that can retire work without ever emitting a CQE.
+  completion-posting machinery: no ``_post_cqe``/``push``/``spawn``
+  call, and no continuation (a ``self.method`` passed to
+  ``call_later``/``call_urgent`` or as a ``then`` callback) whose
+  same-class method reaches ``_post_cqe`` or ``push``, directly or
+  through its own continuations.  A completion path that can retire work
+  without ever emitting a CQE.
 - **PROTO004** — a protocol-monitor hook call (``mon.on_*``,
   ``register_qp``) not dominated by its ``is None`` guard; monitors-off
   runs must cost exactly one branch per site.
@@ -119,6 +123,49 @@ def _dotted(node: ast.AST) -> list[str]:
     return parts
 
 
+def _continuations(func: ast.AST) -> set[str]:
+    """Names of the ``self.<name>`` callables ``func`` passes as call
+    arguments: ``call_later``/``call_urgent`` targets and ``then``
+    continuations."""
+    out: set[str] = set()
+    for sub in ast.walk(func):
+        if isinstance(sub, ast.Call):
+            for arg in [*sub.args, *(kw.value for kw in sub.keywords)]:
+                if isinstance(arg, ast.Attribute) and \
+                        isinstance(arg.value, ast.Name) and arg.value.id == "self":
+                    out.add(arg.attr)
+    return out
+
+
+def _posts_cqe(func: ast.AST) -> bool:
+    """Does ``func`` itself call ``_post_cqe`` or a CQ ``push``?"""
+    for sub in ast.walk(func):
+        if isinstance(sub, ast.Call):
+            parts = _dotted(sub.func)
+            if "_post_cqe" in parts or (parts and parts[-1] == "push"):
+                return True
+    return False
+
+
+def _methods_reaching_cqe(cls: ast.ClassDef) -> set[str]:
+    """The methods of ``cls`` that post a CQE, directly or through a
+    chain of same-class continuations."""
+    methods = {
+        node.name: node for node in cls.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+    }
+    reach = {name for name, node in methods.items() if _posts_cqe(node)}
+    conts = {name: _continuations(node) for name, node in methods.items()}
+    grew = True
+    while grew:
+        grew = False
+        for name in sorted(methods):
+            if name not in reach and conts[name] & reach:
+                reach.add(name)
+                grew = True
+    return reach
+
+
 def _names_in(node: ast.AST) -> Iterable[str]:
     for sub in ast.walk(node):
         if isinstance(sub, ast.Name):
@@ -192,6 +239,8 @@ class _Visitor(ast.NodeVisitor):
         self._hook_lines: set[int] = set()  # SIM005/PROTO004 dedupe
         self._class_stack: list[ast.ClassDef] = []
         self._func_stack: list[str] = []
+        #: PROTO003: per class, the methods that reach a CQE post.
+        self._reaching: dict[int, set[str]] = {}
 
         self.in_src = f"{os.sep}repro{os.sep}" in norm_path or \
             norm_path.startswith(f"repro{os.sep}")
@@ -246,6 +295,12 @@ class _Visitor(ast.NodeVisitor):
     def _check_no_cqe_path(self, node) -> None:
         consumes: Optional[ast.AST] = None
         posts = False
+        if self._class_stack:
+            cls = self._class_stack[-1]
+            reach = self._reaching.get(id(cls))
+            if reach is None:
+                reach = self._reaching[id(cls)] = _methods_reaching_cqe(cls)
+            posts = bool(_continuations(node) & reach)
         for sub in ast.walk(node):
             if isinstance(sub, ast.Call):
                 parts = _dotted(sub.func)
@@ -264,8 +319,9 @@ class _Visitor(ast.NodeVisitor):
                 "PROTO003", consumes,
                 f"`{node.name}` retires in-flight work (outstanding.pop / "
                 "sq_outstanding -= 1) but never posts a CQE",
-                "every consumed WR must complete: call _post_cqe (or spawn "
-                "the generator that does)",
+                "every consumed WR must complete: call _post_cqe, spawn "
+                "the generator that does, or schedule a same-class "
+                "callback that does",
             )
 
     # -- PROTO001 / PROTO002: QP state writes and raw PSN math -------------------

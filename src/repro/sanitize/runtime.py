@@ -71,8 +71,8 @@ def _describe_event(event: object) -> str:
     process = getattr(event, "process", None)
     if process is not None and cls == "_Resume":
         return f"resume:{getattr(process, 'name', '?')}"
-    fn = getattr(event, "fn", None)
-    if fn is not None and cls == "_Callback":
+    if cls == "tuple":  # a call_later/call_urgent (fn, arg) record
+        fn = event[0]  # type: ignore[index]
         return f"call_later:{getattr(fn, '__qualname__', repr(fn))}"
     name = getattr(event, "name", "")
     tag = f"{cls}:{name}" if name else cls

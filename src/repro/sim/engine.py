@@ -9,15 +9,15 @@ results must be exactly reproducible.
 Heap records
 ------------
 
-The heap holds three kinds of record.  An :class:`~repro.sim.events.Event`
-runs its callbacks.  A pooled :class:`~repro.sim.process._Resume` resumes a
+The heap holds three kinds of record.  A plain ``(fn, arg)`` tuple,
+pushed by :meth:`Simulator.call_later` (``(now + delay, NORMAL)``) or
+:meth:`Simulator.call_urgent` (``(now, URGENT)``), invokes ``fn(arg)``:
+link propagation delivery and every step of a NIC message are such
+callbacks.  A pooled :class:`~repro.sim.process._Resume` resumes a
 process straight off the heap: processes yield a bare ``float``/``int``
 number of nanoseconds to sleep (``yield 250.0`` takes the key ``yield
 sim.timeout(250.0)`` would take), and every process's first step is kicked
-the same way.  A pooled :class:`_Callback`, pushed by
-:meth:`Simulator.call_later`, invokes ``fn(arg)`` (e.g. link propagation
-delivery).  Pooled records are recycled the moment they pop, so the
-steady-state hot loop allocates nothing per delay.
+the same way.  An :class:`~repro.sim.events.Event` runs its callbacks.
 
 Dispatch loops
 --------------
@@ -41,21 +41,11 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.verify.choice import Chooser
     from repro.verify.monitors import ProtocolMonitor
 from repro.sanitize.runtime import env_sanitize
-from repro.sim.events import _PENDING, NORMAL, Event, Timeout
+from repro.sim.events import _PENDING, NORMAL, URGENT, Event, Timeout
 from repro.sim.process import MiniProcess, Process, ProcessGenerator, _Resume
 from repro.sim.rng import RngRegistry
 from repro.sim.trace import Trace
 from repro.telemetry.metrics import Telemetry
-
-
-class _Callback:
-    """Pooled heap record: invoke ``fn(arg)`` at the scheduled time."""
-
-    __slots__ = ("fn", "arg")
-
-    def __init__(self) -> None:
-        self.fn = None
-        self.arg = None
 
 
 def _env_monitors() -> bool:
@@ -100,7 +90,7 @@ class Simulator:
 
     __slots__ = (
         "_now", "_queue", "_seq", "_active_process", "_resume_pool",
-        "_cb_pool", "_sanitize", "_time_hooks", "_state_providers",
+        "_sanitize", "_time_hooks", "_state_providers",
         "_monitor", "_chooser", "rng", "trace", "telemetry",
     )
 
@@ -117,7 +107,6 @@ class Simulator:
         self._seq: int = 0
         self._active_process: Optional[Process] = None
         self._resume_pool: list[_Resume] = []
-        self._cb_pool: list[_Callback] = []
         self._time_hooks: list[Callable[[float], None]] = []
         self._state_providers: list[Callable[[], tuple]] = []
         self.rng = RngRegistry(seed)
@@ -277,16 +266,25 @@ class Simulator:
         """Run ``fn(arg)`` after ``delay`` ns (fire-and-forget, no Event).
 
         Equivalent to hanging a callback off a :class:`Timeout` but backed by
-        a pooled record; scheduling order is identical (NORMAL priority, next
-        sequence number).
+        a bare ``(fn, arg)`` record; scheduling order is identical (NORMAL
+        priority, next sequence number).
         """
         if delay < 0:
             raise SimulationError(f"cannot schedule into the past (delay={delay})")
-        pool = self._cb_pool
-        rec = pool.pop() if pool else _Callback()
-        rec.fn = fn
-        rec.arg = arg
-        heapq.heappush(self._queue, (self._now + delay, NORMAL, self._seq, rec))
+        heapq.heappush(self._queue, (self._now + delay, NORMAL, self._seq, (fn, arg)))
+        self._seq += 1
+
+    def call_urgent(self, fn: Callable[[object], None], arg: object = None) -> None:
+        """Run ``fn(arg)`` at the current instant, ahead of NORMAL records.
+
+        The callback twin of :meth:`spawn`'s first-step kick: the record
+        takes the ``(now, URGENT, seq)`` key a spawned process's first
+        step takes, so a callback chain that replaces a spawned generator
+        keeps every later key.  Never replace such a kick with an inline
+        call: the inline work would allocate its sequence numbers before
+        records pushed between the kick and its dispatch.
+        """
+        heapq.heappush(self._queue, (self._now, URGENT, self._seq, (fn, arg)))
         self._seq += 1
 
     def peek(self) -> float:
@@ -403,7 +401,6 @@ class Simulator:
         queue = self._queue
         heappop = heapq.heappop
         resume_pool = self._resume_pool
-        cb_pool = self._cb_pool
         while True:
             if (stop_event is not None and stop_event.callbacks is None) \
                     or not queue or queue[0][0] > deadline:
@@ -412,18 +409,15 @@ class Simulator:
             when, _prio, _seq, event = heappop(queue)
             self._now = when
             cls = event.__class__
+            if cls is tuple:
+                event[0](event[1])
+                continue
             if cls is _Resume:
                 process = event.process
                 event.process = None
                 resume_pool.append(event)
                 if process is not None:
                     process._step(None, None)
-                continue
-            if cls is _Callback:
-                fn, arg = event.fn, event.arg
-                event.fn = event.arg = None
-                cb_pool.append(event)
-                fn(arg)
                 continue
 
             callbacks = event.callbacks
@@ -498,18 +492,15 @@ class Simulator:
     def _dispatch(self, event: Any) -> None:
         """Execute one popped heap record (the instrumented loop's body)."""
         cls = event.__class__
+        if cls is tuple:
+            event[0](event[1])
+            return
         if cls is _Resume:
             process = event.process
             event.process = None
             self._resume_pool.append(event)
             if process is not None:
                 process._step(None, None)
-            return
-        if cls is _Callback:
-            fn, arg = event.fn, event.arg
-            event.fn = event.arg = None
-            self._cb_pool.append(event)
-            fn(arg)
             return
         callbacks = event.callbacks
         event.callbacks = None

@@ -1,9 +1,9 @@
 """FIFO servers: the lock and the work queue of the simulated world.
 
 - :class:`FifoLock` — a lock with ``capacity`` slots (default 1) held
-  across a process's own ``yield``.  CPU cores and fabric TX/RX ports
-  hold one slot; the kernel softirq holds one per RX queue, the NVMe
-  device one per channel, and the NVMe and PCIe buses one each::
+  across a process's own ``yield``.  CPU cores hold one slot; the kernel
+  softirq holds one per RX queue, the NVMe device one per channel, and
+  the NVMe and PCIe buses one each::
 
       wait = lock.acquire()
       if wait is not None:
@@ -12,6 +12,10 @@
           yield busy_time
       finally:
           lock.release()
+
+  Callback code takes a slot with ``lock.acquire_then(fn, arg)``: ``fn``
+  runs inline when a slot is free, or at the handoff.  The fabric's TX
+  and RX ports are held this way.
 
 - :class:`SerialQueue` — a FIFO work queue in front of a capacity-1
   callback server (no process at all): ``put(item)`` starts an idle
@@ -28,7 +32,7 @@ allocate it, and same-time ties keep their order.
 from __future__ import annotations
 
 from collections import deque
-from typing import TYPE_CHECKING, Callable, Optional
+from typing import TYPE_CHECKING, Callable, Optional, Union
 
 from repro.errors import SimulationError
 from repro.sim.events import Event
@@ -44,9 +48,11 @@ class FifoLock:
     :meth:`acquire` grants a free slot inline — no request object,
     nothing pushed — and returns ``None``; when every slot is held it
     parks one event and returns it for the caller to yield.
-    :meth:`release` hands the slot to the oldest waiter by succeeding its
-    event at the release instant, key ``(now, NORMAL, seq)``.  ``busy``
-    means no slot is free.
+    :meth:`acquire_then` parks an ``(fn, arg)`` callback instead.
+    :meth:`release` hands the slot to the oldest waiter at the release
+    instant, key ``(now, NORMAL, seq)``: it succeeds a parked event, or
+    schedules a parked callback with ``call_later(0.0, fn, arg)``, which
+    takes the same key.  ``busy`` means no slot is free.
     """
 
     __slots__ = ("sim", "name", "capacity", "held", "busy", "waiters",
@@ -60,7 +66,9 @@ class FifoLock:
         self.capacity = capacity
         self.held = 0
         self.busy = False
-        self.waiters: deque[Event] = deque()
+        #: Parked acquirers, oldest first: events (:meth:`acquire`) or
+        #: ``(fn, arg)`` callbacks (:meth:`acquire_then`).
+        self.waiters: deque[Union[Event, tuple]] = deque()
         self._label = f"lock {name!r}"
         self._wait_name = f"acquire:{name}"
 
@@ -81,6 +89,21 @@ class FifoLock:
                            contended=wait is not None)
         return wait
 
+    def acquire_then(self, fn: Callable[[object], None], arg: object) -> None:
+        """Take a slot, then run ``fn(arg)``: inline if one is free, else
+        at the handoff."""
+        parked = self.busy
+        if parked:
+            self.waiters.append((fn, arg))
+        else:
+            self.held += 1
+            self.busy = self.held == self.capacity
+        san = self.sim._sanitize
+        if san is not None:
+            san.note_touch(self, self._label, "acquire", contended=parked)
+        if not parked:
+            fn(arg)
+
     def release(self) -> None:
         """Free a slot, or hand it straight to the oldest waiter."""
         if not self.held:
@@ -90,7 +113,11 @@ class FifoLock:
             # A handoff goes to the FIFO head whatever the seq order.
             san.note_touch(self, self._label, "release", contended=False)
         if self.waiters:
-            self.waiters.popleft().succeed()
+            waiter = self.waiters.popleft()
+            if isinstance(waiter, tuple):
+                self.sim.call_later(0.0, waiter[0], waiter[1])
+            else:
+                waiter.succeed()
         else:
             self.held -= 1
             self.busy = False

@@ -277,6 +277,19 @@ def test_incast_buffer_below_one_message_rejected(capsys):
     assert err.count("\n") == 1 and "cannot hold one 65536 B message" in err
 
 
+def test_incast_prints_failed_messages(capsys):
+    from repro.cli import run
+
+    # A bounded 8->1 incast without congestion control loses 25 messages
+    # to RETRY_EXC_ERR; the table used to leave them out.
+    assert run(["incast", "--senders", "8", "--msgs", "32",
+                "--rx-buffer-bytes", "262144"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    header = next(line for line in lines if line.startswith("senders"))
+    assert header.split()[-2:] == ["failed", "msgs"]
+    assert lines[-1].split()[0] == "8" and lines[-1].split()[-1] == "25"
+
+
 @pytest.mark.parametrize("flag, value, message", [
     # Used to print 0.00 Gbit/s with 0 drops and exit 0.
     ("--window", "0", "window must be >= 1, got 0"),

@@ -365,9 +365,9 @@ def test_drop_split_partitions_total_under_faults_and_contention():
     sent = [0]
     orig = fabric.transmit
 
-    def counting(src, dst, nbytes, payload):
+    def counting(src, dst, nbytes, payload, then=None, arg=None):
         sent[0] += 1
-        return orig(src, dst, nbytes, payload)
+        orig(src, dst, nbytes, payload, then, arg)
 
     fabric.transmit = counting
     r = _drive(sim, cfg, fabric, hosts, pairs)
@@ -394,10 +394,7 @@ def test_hairpin_drops_have_their_own_counter():
     fabric, _hosts = build_cluster(sim, SYSTEM_L, 1)
     fabric.inject_faults(FaultPlan(flaps=((0.0, 1e9),)))
 
-    def proc():
-        yield from fabric.transmit(0, 0, 256, "hairpin-payload")
-
-    sim.run(sim.process(proc()))
+    fabric.transmit(0, 0, 256, "hairpin-payload")
     sim.run()
     assert fabric.drops_hairpin == fabric.messages_dropped == 1
     assert fabric.drops_wire == 0 and fabric.drops_rxq == 0

@@ -28,11 +28,8 @@ def test_fabric_rejects_unknown_host_and_negative_size():
     with pytest.raises(HardwareError):
         fabric.nic(99)
 
-    def proc():
-        yield from fabric.transmit(0, 1, -5, None)
-
     with pytest.raises(HardwareError):
-        sim.run(sim.process(proc()))
+        fabric.transmit(0, 1, -5, None)
 
 
 def test_tx_port_is_shared_across_flows():
@@ -101,12 +98,10 @@ def test_link_two_node_wrapper():
     got = []
     fabric.nic(1).deliver = lambda payload: got.append((sim.now, payload))
 
-    def proc():
-        yield from fabric.transmit(0, 1, 4096, "payload")
-        return sim.now
-
-    left_wire = sim.run(sim.process(proc()))
+    left = []
+    fabric.transmit(0, 1, 4096, "payload", lambda _: left.append(sim.now))
     sim.run()
+    left_wire, = left
     assert left_wire == pytest.approx(fabric.serialization_ns(4096))
     assert got == [(pytest.approx(left_wire + fabric.propagation_ns), "payload")]
     with pytest.raises(HardwareError):

@@ -487,10 +487,7 @@ def test_link_level_fault_hook():
     fabric.faults = FaultInjector(sim, FaultPlan(flaps=((0.0, 1e9),)),
                                   scope="link")
 
-    def sender():
-        yield from fabric.transmit(0, 1, 512, "payload")
-
-    sim.run(sim.process(sender()))
+    fabric.transmit(0, 1, 512, "payload")
     sim.run()
     assert got == []  # flap window swallowed it
     assert fabric.faults.drops == 1

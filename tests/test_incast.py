@@ -9,6 +9,9 @@ retransmission), the ``rx_port`` attribution stage, and the satellite
 fabric fixes (delivered-only counters, loopback fault coverage).
 """
 
+import json
+from pathlib import Path
+
 import pytest
 
 from repro.cluster import Fabric, build_cluster, build_pair
@@ -150,10 +153,7 @@ def test_fabric_counts_only_delivered_traffic():
     fabric, _hosts = build_cluster(sim, SYSTEM_L, 2)
     fabric.inject_faults(FaultPlan(flaps=((0.0, 1e9),)))
 
-    def proc():
-        yield from fabric.transmit(0, 1, 4096, "payload")
-
-    sim.run(sim.process(proc()))
+    fabric.transmit(0, 1, 4096, "payload")
     sim.run()
     assert fabric.messages_dropped == 1 and fabric.bytes_dropped == 4096
     assert fabric.messages_carried == 0 and fabric.bytes_carried == 0
@@ -169,11 +169,8 @@ def test_link_counts_only_delivered_traffic():
     fabric.nic(0).deliver = got.append
     fabric.nic(1).deliver = got.append
 
-    def proc():
-        yield from fabric.transmit(0, 1, 512, "lost")
-        yield from fabric.transmit(1, 0, 256, "kept")
-
-    sim.run(sim.process(proc()))
+    fabric.transmit(0, 1, 512, "lost",
+                    lambda _: fabric.transmit(1, 0, 256, "kept"))
     sim.run()
     assert got == ["kept"]
     assert fabric.messages_dropped == 1 and fabric.bytes_dropped == 512
@@ -189,10 +186,7 @@ def test_loopback_traffic_goes_through_fault_hook():
     got = []
     fabric.nic(0).deliver = got.append
 
-    def proc():
-        yield from fabric.transmit(0, 0, 256, "hairpin")
-
-    sim.run(sim.process(proc()))
+    fabric.transmit(0, 0, 256, "hairpin")
     sim.run()
     assert got == []
     assert inj.drops == 1
@@ -220,3 +214,27 @@ def test_rx_contention_spec_validation():
     off = Fabric(sim, SYSTEM_L.nic, propagation_ns=100.0, rx_contention=True)
     assert off.rx_contention.buffer_bytes is None
     assert not off.lossy  # unbounded: nothing can be lost
+
+
+def _bench_incast():
+    """``benchmarks/bench_incast.py`` as a module (benchmarks/ is no package)."""
+    import importlib.util
+
+    root = Path(__file__).resolve().parent.parent
+    spec = importlib.util.spec_from_file_location(
+        "bench_incast", root / "benchmarks" / "bench_incast.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module, root / "results"
+
+
+def test_committed_incast_table_renders_from_its_record():
+    """``results/incast_fan_in.txt`` is exactly what the renderer makes of
+    the committed ``BENCH_incast.json``: the table cannot drift from the
+    record, and failed messages show in it."""
+    bench, results = _bench_incast()
+    doc = json.loads((results / "BENCH_incast.json").read_text())
+    table = (results / "incast_fan_in.txt").read_text()
+    assert bench.render(doc) + "\n" == table
+    off = doc["congestion"]["cc_off"]
+    assert f"{off['failed_msgs']} failed msgs" in table

@@ -263,6 +263,31 @@ def test_proto003_completion_path_with_cqe_is_clean():
                        rules=["PROTO003"]) == []
 
 
+def test_proto003_follows_same_class_continuations():
+    """A retirement whose scheduled callback chain posts the CQE is clean;
+    one whose callback never posts is still flagged."""
+    path = os.path.join(os.path.dirname(__file__), "fixtures",
+                        "proto_continuations.py")
+    with open(path, encoding="utf-8") as fh:
+        source = fh.read()
+    findings = lint_source(source, path=PROTO_VIRTUAL_PATH,
+                           rules=["PROTO003"])
+    leak = source.splitlines().index(
+        "        qp.sq_outstanding -= 1  # PROTO003: the callback never posts")
+    assert [(f.rule, f.line) for f in findings] == [("PROTO003", leak + 1)]
+
+
+def test_proto003_rejects_a_continuation_outside_the_class():
+    src = (
+        "class Nic:\n"
+        "    def retire(self, qp, psn):\n"
+        "        qp.outstanding.pop(psn)\n"
+        "        self.sim.call_later(1.0, self.peer_post, qp)\n"
+    )
+    assert [f.rule for f in lint_source(src, path="src/repro/hw/nic.py",
+                                        rules=["PROTO003"])] == ["PROTO003"]
+
+
 def test_proto004_guarded_monitor_hook_is_clean():
     src = (
         "def f(self, qp):\n"

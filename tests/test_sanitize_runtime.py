@@ -8,7 +8,6 @@ from repro.errors import SimulationError
 from repro.sanitize import drain_global_findings, findings_of
 from repro.sanitize.runtime import GLOBAL_FINDINGS, env_sanitize
 from repro.sim import FifoLock, SerialQueue, Simulator, Store
-from repro.sim.engine import _Callback
 
 
 @pytest.fixture(autouse=True)
@@ -260,8 +259,7 @@ def test_past_dispatch_recorded_before_engine_raises():
     sim = Simulator(sanitize=True)
 
     def plant(_):
-        rec = _Callback()
-        rec.fn = lambda _a: None
+        rec = (lambda _a: None, None)
         heapq.heappush(sim._queue, (5.0, 1, sim._seq, rec))
         sim._seq += 1
 
