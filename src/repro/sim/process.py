@@ -247,9 +247,9 @@ class Process(Event, _Driver):
 class MiniProcess(_Driver):
     """Fire-and-forget process: runs a generator but is not itself an event.
 
-    Used by :meth:`Simulator.spawn` for hot per-message work (NIC message
-    execution, ACK generation, IRQ delivery) that nothing ever joins or
-    interrupts.  Skipping the join-event machinery saves one termination
+    Used by :meth:`Simulator.spawn` for per-message work that nothing
+    ever joins or interrupts and that still blocks on events (IRQ
+    delivery, IPoIB receive, NVMe commands).  Skipping the join-event machinery saves one termination
     event (allocation + schedule + pop) per spawn.  Dropping that heap
     entry cannot change the interleaving of the remaining events: it never
     has callbacks, and removing an allocation from the sequence-number

@@ -109,11 +109,30 @@ RESOURCE_LOG = {
 }
 
 
-def _lock_log(capacity):
+def _ticks(sim, log, at):
+    """A callback chain that logs ``("tick", now, next seq)`` at each time
+    in ``at``, pushed late enough to tie with releases at those instants
+    (it sees whether a handoff dispatches before or after it)."""
+    def step(n):
+        if n:
+            sim.call_later(0.0, step, n - 1)
+            return
+        for t in at:
+            sim.call_later(t - sim.now, tick)
+
+    def tick(_):
+        log.append(("tick", sim.now, sim._seq))
+
+    if at:
+        sim.call_later(0.0, step, 3)
+
+
+def _lock_log(capacity, ticks=()):
     """Grant/release log of ``_USERS`` with ``(tag, now, next seq)``."""
     sim = Simulator()
     lock = FifoLock(sim, "core", capacity=capacity)
     log = []
+    _ticks(sim, log, ticks)
 
     def user(tag, start, hold):
         yield start
@@ -135,6 +154,48 @@ def _lock_log(capacity):
 def test_fifo_lock_pushes_the_same_heap_records_as_resource():
     for capacity, want in RESOURCE_LOG.items():
         assert _lock_log(capacity) == want, f"capacity {capacity}"
+
+
+def _callback_lock_log(capacity, ticks=()):
+    """``_lock_log`` with callback holders: each process step becomes a
+    ``call_urgent``/``call_later`` record and the lock is taken with
+    ``acquire_then``."""
+    sim = Simulator()
+    lock = FifoLock(sim, "core", capacity=capacity)
+    log = []
+    _ticks(sim, log, ticks)
+
+    def kick(user):  # the process's first step
+        sim.call_later(user[1], take, user)
+
+    def take(user):
+        lock.acquire_then(granted, user)
+
+    def granted(user):
+        log.append(("grant", user[0], sim.now, sim._seq))
+        sim.call_later(user[2], done, user)
+
+    def done(user):
+        lock.release()
+        log.append(("release", user[0], sim.now, sim._seq))
+        sim.call_later(0.0, finish, user)
+
+    def finish(user):  # the joinable process's termination record
+        sim.call_urgent(lambda _: None)
+
+    for tag, (start, hold) in enumerate(_USERS):
+        sim.call_urgent(kick, (tag, start, hold))
+    sim.run()
+    return log, sim._seq
+
+
+def test_fifo_lock_callback_waiters_push_the_same_heap_records():
+    for capacity, want in RESOURCE_LOG.items():
+        assert _callback_lock_log(capacity) == want, f"capacity {capacity}"
+        # Rival records at every release instant: a callback handoff
+        # dispatches exactly where a succeeded event would.
+        ticks = sorted({t for _kind, _tag, t, _seq in want[0]})
+        assert _callback_lock_log(capacity, ticks) == _lock_log(capacity, ticks)
 
 
 def test_fifo_lock_release_when_free_raises():
