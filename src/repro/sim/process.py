@@ -249,8 +249,9 @@ class MiniProcess(_Driver):
 
     Used by :meth:`Simulator.spawn` for per-message work that nothing
     ever joins or interrupts and that still blocks on events (IRQ
-    delivery, IPoIB receive, NVMe commands).  Skipping the join-event machinery saves one termination
-    event (allocation + schedule + pop) per spawn.  Dropping that heap
+    delivery, IPoIB receive, NVMe commands).  Skipping the join-event
+    machinery saves one termination event (allocation + schedule + pop)
+    per spawn.  Dropping that heap
     entry cannot change the interleaving of the remaining events: it never
     has callbacks, and removing an allocation from the sequence-number
     stream preserves the relative order of all other entries.
