@@ -199,10 +199,10 @@ def _checks(doc: dict) -> list:
     return checks
 
 
-def render(doc: dict, strict: bool = False) -> str:
+def render(doc: dict) -> str:
     """The ``incast_fan_in`` table, rendered from a ``BENCH_incast.json``
     document alone (every number comes from the record, nothing is
-    re-simulated); ``strict`` asserts the shape checks."""
+    re-simulated)."""
     link_gbit = doc["link_gbit"]
     size = doc["sweep"]["BP"][0]["size"]
     agg = SweepTable(f"Incast: aggregate receive rate, {size // 1024} KiB "
@@ -245,13 +245,12 @@ def render(doc: dict, strict: bool = False) -> str:
         f"fewer), {on['failed_msgs']} failed msgs, "
         f"{on['ecn_marked']} ECN marks, {on['cnps']} CNPs"
     )
-    return "\n\n".join(parts) + "\n" + report_checks("incast", _checks(doc),
-                                                    strict=strict)
+    return "\n\n".join(parts) + "\n" + report_checks("incast", _checks(doc))
 
 
 def _report(points, results, legacy_r, bounded_r, cc_off_r, cc_on_r):
     doc = _document(results, legacy_r, bounded_r, cc_off_r, cc_on_r)
-    emit("incast_fan_in", render(doc, strict=True))
+    emit("incast_fan_in", render(doc))
     _record(doc)
 
 

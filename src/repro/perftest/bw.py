@@ -102,6 +102,9 @@ def send_bw(
                     max_period=2 * _signal_every(window, techniques) + 4)
 
     def rx() -> Generator["Event", object, None]:
+        # No warmup: the window opens here, before the RQ fill, at the
+        # instant tx() starts posting sends.
+        t_start = None if warmup else sim.now
         posted = 0
         while posted < min(rq_target, total):
             yield from receiver.post_recv(
@@ -111,8 +114,6 @@ def send_bw(
             posted += 1
         received = 0
         measured = 0
-        # No warmup: the window opens before the first post.
-        t_start = None if warmup else sim.now
         while received < total:
             if is_ud and tx_done.processed and len(receiver.recv_cq) == 0:
                 # UD is lossy: the sender may have outrun us and some

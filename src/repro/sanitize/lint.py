@@ -123,17 +123,31 @@ def _dotted(node: ast.AST) -> list[str]:
     return parts
 
 
+#: Calls that schedule a callable argument to run later: a ``self.<name>``
+#: passed to one of these is a continuation for PROTO003.
+_SCHEDULING_CALLS = frozenset({
+    "call_later", "call_urgent", "acquire_then", "transmit", "_post_cqe",
+})
+
+
 def _continuations(func: ast.AST) -> set[str]:
-    """Names of the ``self.<name>`` callables ``func`` passes as call
-    arguments: ``call_later``/``call_urgent`` targets and ``then``
-    continuations."""
+    """Names of the ``self.<name>`` callables ``func`` schedules: the
+    arguments of a ``call_later``/``call_urgent``/``acquire_then``/
+    ``transmit``/``_post_cqe`` call, and any ``then=`` keyword.  A method
+    handed to any other call (``pending.append(self._m)``) is not one."""
     out: set[str] = set()
     for sub in ast.walk(func):
-        if isinstance(sub, ast.Call):
-            for arg in [*sub.args, *(kw.value for kw in sub.keywords)]:
-                if isinstance(arg, ast.Attribute) and \
-                        isinstance(arg.value, ast.Name) and arg.value.id == "self":
-                    out.add(arg.attr)
+        if not isinstance(sub, ast.Call):
+            continue
+        if isinstance(sub.func, ast.Attribute) and \
+                sub.func.attr in _SCHEDULING_CALLS:
+            args = [*sub.args, *(kw.value for kw in sub.keywords)]
+        else:
+            args = [kw.value for kw in sub.keywords if kw.arg == "then"]
+        for arg in args:
+            if isinstance(arg, ast.Attribute) and \
+                    isinstance(arg.value, ast.Name) and arg.value.id == "self":
+                out.add(arg.attr)
     return out
 
 

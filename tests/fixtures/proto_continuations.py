@@ -3,8 +3,9 @@
 Never imported; ``tests/test_sanitize_lint.py`` lints this file under a
 virtual ``src/repro/hw/...`` path.  ``ChainedNic`` retires work and posts
 the CQE two scheduled callbacks later, which is clean.  ``LeakyNic``
-retires work and schedules a callback that never posts: exactly one
-PROTO003 finding, in its ``retire``.
+retires work and schedules a callback that never posts; ``ParkedNic``
+hands a posting method to a call that schedules nothing.  Exactly one
+PROTO003 finding each, in their ``retire``.
 """
 
 
@@ -33,3 +34,13 @@ class LeakyNic:
 
     def _forget(self, wr):
         self.retired.append(wr)
+
+
+class ParkedNic:
+    def retire(self, qp, psn):
+        wr = qp.outstanding.pop(psn)  # PROTO003: parked, never scheduled
+        self.pending.append(self._finish)
+        log(self._finish, wr)
+
+    def _finish(self, wr):
+        self._post_cqe(wr.qp.send_cq, wr)

@@ -265,16 +265,21 @@ def test_proto003_completion_path_with_cqe_is_clean():
 
 def test_proto003_follows_same_class_continuations():
     """A retirement whose scheduled callback chain posts the CQE is clean;
-    one whose callback never posts is still flagged."""
+    one whose callback never posts is still flagged, and so is one that
+    hands a posting method to a call that schedules nothing."""
     path = os.path.join(os.path.dirname(__file__), "fixtures",
                         "proto_continuations.py")
     with open(path, encoding="utf-8") as fh:
         source = fh.read()
     findings = lint_source(source, path=PROTO_VIRTUAL_PATH,
                            rules=["PROTO003"])
-    leak = source.splitlines().index(
+    lines = source.splitlines()
+    leak = lines.index(
         "        qp.sq_outstanding -= 1  # PROTO003: the callback never posts")
-    assert [(f.rule, f.line) for f in findings] == [("PROTO003", leak + 1)]
+    parked = lines.index(
+        "        wr = qp.outstanding.pop(psn)  # PROTO003: parked, never scheduled")
+    assert [(f.rule, f.line) for f in findings] == [
+        ("PROTO003", leak + 1), ("PROTO003", parked + 1)]
 
 
 def test_proto003_rejects_a_continuation_outside_the_class():
